@@ -27,8 +27,10 @@ from .oracle import naive_rotation_sort
 from .runs import count_runs, optimal_order, rle_text
 from .synth import GenSpec, generate
 from .transforms import (
+    COLLECTION_VARIANTS,
     Variant,
     build,
+    build_normalized,
     from_text,
     invert_ebwt,
     invert_separator_based,
@@ -131,18 +133,13 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     c = _load_collection(args)
     if args.variants:
-        names = [n.strip() for n in args.variants.split(",") if n.strip()]
-    elif args.kind == "hamming":
-        names = ["dol_ebwt", "mdol_bwt", "conc_bwt", "colex_bwt"]
+        variants = [Variant.from_name(n) for n in args.variants.split(",") if n.strip()]
     else:
-        names = ["ebwt", "dol_ebwt", "mdol_bwt", "conc_bwt", "colex_bwt"]
-    ts = []
-    for name in names:
-        v = Variant.from_name(name)
-        t = build(v, c)
-        if v is Variant.CONC_BWT:
-            t = normalize_conc(t)
-        ts.append(t)
+        variants = [
+            v for v in COLLECTION_VARIANTS
+            if v.separator_based or args.kind == "edit"
+        ]
+    ts = [build_normalized(v, c) for v in variants]
     m = distance_matrix(ts, kind=args.kind, max_cells=args.max_cells)
     if args.json:
         payload = json.dumps(m.to_json_obj(), indent=2) + "\n"
@@ -159,17 +156,8 @@ def cmd_optimal(args) -> int:
         f"permutation\t{res.permutation.one_line()}",
         f"rOpt\t{res.r_opt}",
     ]
-    for v in (
-        Variant.EBWT,
-        Variant.DOL_EBWT,
-        Variant.MDOL_BWT,
-        Variant.CONC_BWT,
-        Variant.COLEX_BWT,
-    ):
-        t = build(v, c)
-        if v is Variant.CONC_BWT:
-            t = normalize_conc(t)
-        lines.append(f"{v.value}\t{count_runs(t).r}")
+    for v in COLLECTION_VARIANTS:
+        lines.append(f"{v.value}\t{count_runs(build_normalized(v, c)).r}")
     _write_output(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 

@@ -19,8 +19,14 @@ from fractions import Fraction
 from ._fmt import fmt
 from .collection import SEP_BYTE, Collection
 from .errors import ValidationError
-from .kernels import shared_suffix_mask, suffix_array
-from .ordering import lex_order
+from .kernels import shared_suffix_mask
+from .ordering import lex_order, order_ranks
+from .transforms import (
+    Transform,
+    Variant,
+    _separator_sort,
+    _separator_text,
+)
 
 SEP_SYMBOL = "$"
 
@@ -61,46 +67,27 @@ class IntervalReport:
         return "\n".join(lines) + "\n"
 
 
-def _rotation_scan(c: Collection):
-    """Rotation order of {T_i $}: returns (sa, ulen, owner, lsym, mask)
-    over flat positions; ulen is the length of the string suffix each
-    rotation starts with, owner its 1-based input index, lsym the display
-    symbol preceding the rotation."""
-    seqs = c.seqs()
-    k = len(seqs)
-    order = lex_order(seqs)
-    shift = k + 1
-    data = array("i")
-    collapsed = bytearray()
+def _rotation_scan(seqs: list[bytes]):
+    """Rotation order of {T_i $}: the separator sort with lex ranks.
+    Returns (sa, ulen, owner, lsym, mask) over flat positions of the
+    input-order text; ulen is the length of the string suffix each
+    rotation starts with, owner its 1-based input index, lsym the last
+    column (the symbols of dol_ebwt) and mask the shared-suffix marks."""
+    sa, lsym = _separator_sort(seqs, order_ranks(lex_order(seqs)))
     ulen = array("i")
     owner = array("i")
-    for rank_pos, orig in enumerate(order, start=1):
-        s = seqs[orig]
+    for i, s in enumerate(seqs, start=1):
         m = len(s)
-        for off in range(m):
-            ulen.append(m - off)
-            owner.append(orig + 1)
-        ulen.append(0)
-        owner.append(orig + 1)
-        collapsed.extend(s)
-        collapsed.append(SEP_BYTE)
-        data.extend([b + shift for b in s])
-        data.append(rank_pos)
-    sa = suffix_array(data, shift + 256)
-    n = len(data)
-    lsym = bytearray(n)
-    for r in range(n):
-        p = sa[r]
-        v = data[p - 1] if p else data[n - 1]
-        lsym[r] = SEP_BYTE if v <= k else v - shift
-    mask = shared_suffix_mask(bytes(collapsed), sa, ulen)
+        ulen.extend(range(m, -1, -1))
+        owner.extend(array("i", [i]) * (m + 1))
+    mask = shared_suffix_mask(_separator_text(seqs), sa, ulen)
     return sa, ulen, owner, lsym, mask
 
 
-def interesting_intervals(c: Collection) -> IntervalReport:
-    c.require_valid()
+def _interval_scan(c: Collection) -> tuple[IntervalReport, Transform]:
+    """The interval report and dol_ebwt, both read off one rotation scan."""
     seqs = c.seqs()
-    sa, ulen, owner, lsym, mask = _rotation_scan(c)
+    sa, ulen, owner, lsym, mask = _rotation_scan(seqs)
     n = len(sa)
     intervals: list[InterestingInterval] = []
     r = 0
@@ -134,16 +121,22 @@ def interesting_intervals(c: Collection) -> IntervalReport:
     else:
         warnings.warn(
             "collection has no interesting intervals; variability is 0 by convention",
-            stacklevel=2,
+            stacklevel=3,
         )
         var = Fraction(0)
-    return IntervalReport(
+    report = IntervalReport(
         intervals=tuple(intervals),
         count_intervals=len(intervals),
         total_interval_length=total,
         fraction_positions=fraction,
         variability=var,
     )
+    return report, Transform(Variant.DOL_EBWT, lsym, c.k, c.total_length)
+
+
+def interesting_intervals(c: Collection) -> IntervalReport:
+    c.require_valid()
+    return _interval_scan(c)[0]
 
 
 def max_runs_bound(parikh: dict) -> int:

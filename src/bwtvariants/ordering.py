@@ -11,8 +11,11 @@ of the repetitions, so the comparison below is exact.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+from .kernels import suffix_array
 
 LESS = -1
 EQUAL = 0
@@ -128,3 +131,29 @@ def lex_order(seqs: Sequence[bytes]) -> list[int]:
 def colex_order(seqs: Sequence[bytes]) -> list[int]:
     """Positions 0..k-1 sorted by reversed strings, ties in input order."""
     return sorted(range(len(seqs)), key=lambda i: (seqs[i][::-1], i))
+
+
+def order_ranks(order: Sequence[int]) -> list[int]:
+    """The inverse of an order of positions 0..k-1, as 1-based ranks:
+    ranks[i] = 1 + the place of i in ``order``."""
+    ranks = [0] * len(order)
+    for r, i in enumerate(order, start=1):
+        ranks[i] = r
+    return ranks
+
+
+def conc_order(seqs: Sequence[bytes]) -> list[int]:
+    """Positions 0..k-1 in the order of their separators in
+    T_1 $ ... T_k $ #, with equal separators and # below everything.
+
+    The text after the separator of T_i is T_{i+1} $ ... T_k $ #. As $ is
+    below every letter, it compares like the sequence of the dense lex
+    ranks of T_{i+1}, ..., T_k followed by a terminator, so one suffix
+    sort of the k ranks plus the terminator orders all separators, equal
+    strings included.
+    """
+    dense = {s: r for r, s in enumerate(sorted(set(seqs)), start=2)}
+    data = array("i", [dense[s] for s in seqs])
+    data.append(1)  # the terminator
+    # suffix p of the rank sequence is the text after separator p - 1
+    return [p - 1 for p in suffix_array(data, len(dense) + 2) if p]

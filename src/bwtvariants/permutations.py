@@ -2,10 +2,12 @@
 
 All permutations act on {1..k}. rho maps input positions to lexicographic
 ranks; the dollar prefix of each separator-based transform is described by
-pi_de = rho^-1, pi_md = rho, pi_conc (through the linking permutation),
-and gamma (the colex order). A permutation pi is feasible when some input
-order rho makes the concatenation variant produce pi as its dollar order;
-not all of them are, the classic gap being 213 at k = 3.
+pi_de = rho^-1, pi_md = rho, pi_conc (the rho values of the strings in the
+separator-row order of conc_bwt) and gamma (the colex order). For
+distinct strings pi_conc is a closed form of rho through the linking
+permutation. A permutation pi is feasible when some input order rho makes
+the concatenation variant produce pi as its dollar order; not all of them
+are, the classic gap being 213 at k = 3.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ._fmt import fmt
 from .collection import Collection
 from .errors import GuardError, ValidationError
 from .kernels import feasible_image_size
-from .ordering import colex_order, lex_order
+from .ordering import colex_order, conc_order, lex_order, order_ranks
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,7 @@ def input_rank_permutation(c: Collection) -> Perm:
     """rho: position in the input -> lexicographic rank (ties stay in
     input order, which keeps rho total on multisets)."""
     c.require_valid()
-    order = lex_order(c.seqs())
-    rank = [0] * len(order)
-    for r, idx in enumerate(order, start=1):
-        rank[idx] = r
-    return Perm(tuple(rank))
+    return Perm(tuple(order_ranks(lex_order(c.seqs()))))
 
 
 def linking_permutation(p: Perm) -> Perm:
@@ -92,7 +90,9 @@ def linking_permutation(p: Perm) -> Perm:
 def pi_conc(rho: Perm) -> Perm:
     """Dollar order of the concatenation variant for input order rho:
     pi(1) = rho(k) and pi^-1(i) = f_{rho(1)}(Phi(i)) + 1 elsewhere, where
-    f_j skips over j."""
+    f_j skips over j. Assumes distinct strings: equal strings tie on the
+    text after their separators in a way rho alone does not decide (the
+    profile reads the real order from ``conc_order``)."""
     k = len(rho)
     if k < 2:
         raise ValidationError("pi_conc needs k >= 2")
@@ -113,9 +113,7 @@ def gamma(c: Collection) -> Perm:
     """gamma(j) = lexicographic rank of the j-th string in colex order."""
     c.require_valid()
     seqs = c.seqs()
-    lex_rank = [0] * len(seqs)
-    for r, idx in enumerate(lex_order(seqs), start=1):
-        lex_rank[idx] = r
+    lex_rank = order_ranks(lex_order(seqs))
     return Perm(tuple(lex_rank[idx] for idx in colex_order(seqs)))
 
 
@@ -130,8 +128,8 @@ class PermutationProfile:
 
 def profile(c: Collection) -> PermutationProfile:
     rho = input_rank_permutation(c)
-    # k = 1 has a single trivial dollar order
-    conc = pi_conc(rho) if len(rho) >= 2 else Perm((1,))
+    # rho values in the separator-row order of conc_bwt, duplicates included
+    conc = Perm(tuple(rho.mapping[i] for i in conc_order(c.seqs())))
     return PermutationProfile(rho, rho.inverse(), rho, conc, gamma(c))
 
 

@@ -10,18 +10,10 @@ from ._fmt import fmt, half_up_int
 from .collection import Collection, from_seqs
 from .distances import DistanceMatrix, distance_matrix
 from .errors import ValidationError
-from .intervals import IntervalReport, interesting_intervals
+from .intervals import IntervalReport, _interval_scan
 from .permutations import PermutationProfile, profile
-from .runs import OptimalOrderResult, count_runs, optimal_order
-from .transforms import Variant, build, normalize_conc
-
-_HAMMING_VARIANTS = (
-    Variant.DOL_EBWT,
-    Variant.MDOL_BWT,
-    Variant.CONC_BWT,
-    Variant.COLEX_BWT,
-)
-_ALL_VARIANTS = (Variant.EBWT,) + _HAMMING_VARIANTS
+from .runs import OptimalOrderResult, _optimal_order, count_runs
+from .transforms import COLLECTION_VARIANTS, Variant, build_normalized
 
 
 @dataclass(frozen=True)
@@ -87,17 +79,17 @@ def analyze(
     edit distances including the sentinel-free transform."""
     c.require_valid()
     lengths = [len(s) for s in c.seqs()]
-    ireport = interesting_intervals(c)
-    transforms = {}
-    for v in _ALL_VARIANTS:
-        t = build(v, c)
-        if v is Variant.CONC_BWT:
-            t = normalize_conc(t)
-        transforms[v] = t
+    # one rotation scan gives the intervals, dol_ebwt and the template
+    # of the optimal order
+    ireport, dol = _interval_scan(c)
+    transforms = {
+        v: dol if v is Variant.DOL_EBWT else build_normalized(v, c)
+        for v in COLLECTION_VARIANTS
+    }
 
-    opt = optimal_order(c)
+    opt = _optimal_order(c, ireport, dol)
     runs_table: dict[str, dict] = {}
-    for v in _ALL_VARIANTS:
+    for v in COLLECTION_VARIANTS:
         stats = count_runs(transforms[v])
         runs_table[v.value] = {
             "r": stats.r,
@@ -113,7 +105,8 @@ def analyze(
     }
 
     hamming_m = distance_matrix(
-        [transforms[v] for v in _HAMMING_VARIANTS], kind="hamming"
+        [transforms[v] for v in COLLECTION_VARIANTS if v.separator_based],
+        kind="hamming",
     )
 
     edit_m = None
@@ -123,12 +116,7 @@ def analyze(
         sub = c
         if edit_subset < c.k:
             sub = from_seqs([s for s in c.seqs()[:edit_subset]])
-        subs = []
-        for v in _ALL_VARIANTS:
-            t = build(v, sub)
-            if v is Variant.CONC_BWT:
-                t = normalize_conc(t)
-            subs.append(t)
+        subs = [build_normalized(v, sub) for v in COLLECTION_VARIANTS]
         edit_m = distance_matrix(subs, kind="edit", max_cells=max_cells)
 
     dataset = {

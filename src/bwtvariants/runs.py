@@ -22,9 +22,9 @@ from fractions import Fraction
 from ._fmt import fmt
 from .collection import Collection
 from .errors import ValidationError
-from .intervals import SEP_SYMBOL, interesting_intervals
+from .intervals import SEP_SYMBOL, IntervalReport, _interval_scan
 from .permutations import Perm
-from .transforms import Transform, Variant, colex_bwt, dol_ebwt, from_text, mdol_bwt, to_text
+from .transforms import Transform, Variant, colex_bwt, from_text, mdol_bwt, to_text
 
 
 @dataclass(frozen=True)
@@ -197,15 +197,25 @@ def optimal_order(c: Collection) -> OptimalOrderResult:
     minimum itself and the chosen per-interval arrangements. The result
     is re-checked against an actual build of the reordered transform."""
     c.require_valid()
+    return _optimal_order(c, *_quiet_scan(c))
+
+
+def _quiet_scan(c: Collection) -> tuple[IntervalReport, Transform]:
     with warnings.catch_warnings():
         # the zero-variability convention is irrelevant here
         warnings.simplefilter("ignore")
-        report = interesting_intervals(c)
+        return _interval_scan(c)
+
+
+def _optimal_order(
+    c: Collection, report: IntervalReport, dol: Transform
+) -> OptimalOrderResult:
+    """``optimal_order`` from an interval scan's report and dol_ebwt,
+    which is the template every order shares outside the intervals."""
     if not report.intervals:
         # all orders give the same transform
-        perm = Perm.identity(c.k)
-        return OptimalOrderResult(perm, count_runs(mdol_bwt(c)).r, ())
-    template = to_text(dol_ebwt(c))
+        return OptimalOrderResult(Perm.identity(c.k), count_runs(dol).r, ())
+    template = to_text(dol)
     n = len(template)
     intervals = sorted(report.intervals, key=lambda iv: iv.b)
     inside = bytearray(n + 2)
@@ -248,8 +258,7 @@ def colex_gap(c: Collection) -> tuple[int, int, int, bool]:
     """(runs of colex transform, r_opt, interval count, bound holds):
     colex can exceed the optimum by at most two runs per interval."""
     runs_colex = count_runs(colex_bwt(c)).r
-    opt = optimal_order(c)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c_m = interesting_intervals(c).count_intervals
+    report, dol = _quiet_scan(c)
+    opt = _optimal_order(c, report, dol)
+    c_m = report.count_intervals
     return runs_colex, opt.r_opt, c_m, runs_colex <= opt.r_opt + 2 * c_m

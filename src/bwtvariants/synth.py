@@ -24,8 +24,9 @@ Draw order, with k strings and alphabet A:
      lengths), after which string i's last g symbols are overwritten
      with string j's.
 
-High bias therefore plants long shared suffixes; mutation rate 0 with a
-fixed length yields k copies of one ancestor.
+The planted shared suffix g is therefore geometric with mean 2 (capped at
+both lengths): the bias sets how many strings get one, not how long it
+is. Mutation rate 0 with a fixed length yields k copies of one ancestor.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ single-string BWT:
               length N, no sentinels, independent of input order.
   dol_ebwt    ebwt of {T_i $}: one shared separator per string; equal to
               the multidollar BWT of the lexicographically sorted
-              collection, which is how it is built here.
+              collection.
   mdol_bwt    BWT of T_1 $_1 T_2 $_2 ... T_k $_k with distinct separators
               ordered $_1 < $_2 < ...; output shows them as one symbol.
   conc_bwt    BWT of T_1 $ T_2 $ ... T_k $ # with equal separators and a
@@ -16,6 +16,12 @@ single-string BWT:
               (always a separator) and rewrites # to $, giving N+k.
   colex_bwt   mdol_bwt of the collection sorted colexicographically.
   single_bwt  rotation-sort BWT of a single string, no sentinel.
+
+The four separator-based variants are one sort of the rotations of
+T_1 $ ... T_k $ that differs only in how the separators rank against
+each other (``_separator_sort``): by input index for mdol_bwt, by lex
+rank for dol_ebwt, by colex rank for colex_bwt and by the text that
+follows each separator for conc_bwt.
 
 Internally separators are byte 0x01 and the terminator byte 0x00; the
 text form renders them '$' and '#'.
@@ -26,11 +32,12 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
+from typing import Sequence
 
 from .collection import SEP_BYTE, TERM_BYTE, Collection, from_seqs
 from .errors import TransformError, ValidationError
 from .kernels import conjugate_sort, suffix_array
-from .ordering import colex_order, lex_order
+from .ordering import colex_order, conc_order, lex_order, order_ranks
 
 
 class Variant(enum.Enum):
@@ -131,85 +138,81 @@ def from_text(text: str, variant: Variant) -> Transform:
 # builders
 
 
-def _mdol_symbols(seqs: list[bytes]) -> bytes:
-    """Last column of the sorted rotations of T_1 $_1 ... T_k $_k.
+def _separator_sort(seqs: list[bytes], ranks: Sequence[int]):
+    """Sorted rotations of T_1 $ T_2 $ ... T_k $, where the separator
+    after T_i has the value ranks[i] (a permutation of 1..k).
 
-    Separators are encoded 1..k so rotation order equals suffix order
-    (the largest separator is unique and final); letters are shifted past
-    them. Output collapses every separator to SEP_BYTE.
+    Returns (sa, symbols): sa[r] is the flat position where row r's
+    rotation starts, symbols the last column with every separator written
+    SEP_BYTE. Letters are shifted past the separators. Distinct
+    separators decide every comparison before the text ends, so rotation
+    order is suffix order, and the rows depend on the order of ``seqs``
+    only through ``ranks``: each variant is this sort with its own ranks.
     """
     k = len(seqs)
     shift = k + 1
     data = array("i")
-    for i, s in enumerate(seqs, start=1):
+    for s, rank in zip(seqs, ranks):
         data.extend([b + shift for b in s])
-        data.append(i)
+        data.append(rank)
     sa = suffix_array(data, shift + 256)
-    n = len(data)
-    out = bytearray(n)
-    for r in range(n):
-        p = sa[r]
-        v = data[p - 1] if p else data[n - 1]
-        out[r] = SEP_BYTE if v <= k else v - shift
-    return bytes(out)
+    text = _separator_text(seqs)
+    before = text[-1:] + text[:-1]  # the symbol preceding each position
+    return sa, bytes(map(before.__getitem__, sa))
+
+
+def _separator_text(seqs: list[bytes]) -> bytes:
+    """T_1 $ T_2 $ ... T_k $ with every separator written SEP_BYTE."""
+    sep = bytes([SEP_BYTE])
+    return sep.join(seqs) + sep
 
 
 def mdol_bwt(c: Collection) -> Transform:
     c.require_valid()
-    return Transform(
-        Variant.MDOL_BWT, _mdol_symbols(c.seqs()), c.k, c.total_length
-    )
+    _, symbols = _separator_sort(c.seqs(), range(1, c.k + 1))
+    return Transform(Variant.MDOL_BWT, symbols, c.k, c.total_length)
 
 
 def dol_ebwt(c: Collection) -> Transform:
     # With one shared separator below the alphabet, the omega order of the
     # rotations of {T_i $} ties exactly where rotations share a string
     # suffix; the tie resolves by the following strings, i.e. by the
-    # lexicographic order of the T_i. Distinct separators indexed by lex
-    # rank reproduce that resolution, so this is mdol of the sorted input.
+    # lexicographic order of the T_i. Separators ranked by lex rank
+    # reproduce that resolution.
     c.require_valid()
     seqs = c.seqs()
-    order = lex_order(seqs)
-    return Transform(
-        Variant.DOL_EBWT,
-        _mdol_symbols([seqs[i] for i in order]),
-        c.k,
-        c.total_length,
-    )
+    _, symbols = _separator_sort(seqs, order_ranks(lex_order(seqs)))
+    return Transform(Variant.DOL_EBWT, symbols, c.k, c.total_length)
 
 
 def colex_bwt(c: Collection) -> Transform:
     c.require_valid()
     seqs = c.seqs()
-    order = colex_order(seqs)
-    return Transform(
-        Variant.COLEX_BWT,
-        _mdol_symbols([seqs[i] for i in order]),
-        c.k,
-        c.total_length,
-    )
+    _, symbols = _separator_sort(seqs, order_ranks(colex_order(seqs)))
+    return Transform(Variant.COLEX_BWT, symbols, c.k, c.total_length)
 
 
 def conc_bwt(c: Collection, normalize: bool = False) -> Transform:
     """Transform of T_1·SEP·...·T_k·SEP·TERM. Raw by default: length
-    N+k+1 with the terminator symbol still present."""
+    N+k+1 with the terminator symbol still present.
+
+    With equal separators, rotations that tie up to a separator are
+    ordered by the text after it, which is what ``conc_order`` ranks, so
+    the normalized transform is the separator sort with those ranks. The
+    raw one adds the terminator's row in front (preceded by the last
+    separator) and puts the terminator at the row of position 0.
+    """
     c.require_valid()
-    data = array("i")
-    for s in c.seqs():
-        data.extend([b + 3 for b in s])
-        data.append(2)  # separator
-    data.append(1)  # terminator, unique and smallest
-    sa = suffix_array(data, 259)
-    n = len(data)
-    out = bytearray(n)
-    for r in range(n):
-        p = sa[r]
-        v = data[p - 1] if p else data[n - 1]
-        out[r] = TERM_BYTE if v == 1 else SEP_BYTE if v == 2 else v - 3
-    raw = Transform(
-        Variant.CONC_BWT, bytes(out), c.k, c.total_length, normalized=False
+    seqs = c.seqs()
+    sa, symbols = _separator_sort(seqs, order_ranks(conc_order(seqs)))
+    if normalize:
+        return Transform(Variant.CONC_BWT, symbols, c.k, c.total_length)
+    raw = bytearray(symbols)
+    raw[sa.index(0)] = TERM_BYTE
+    raw.insert(0, SEP_BYTE)
+    return Transform(
+        Variant.CONC_BWT, bytes(raw), c.k, c.total_length, normalized=False
     )
-    return normalize_conc(raw) if normalize else raw
 
 
 def normalize_conc(t: Transform) -> Transform:
@@ -276,6 +279,24 @@ def build(variant: Variant, c: Collection) -> Transform:
     """Dispatch to the variant's builder. The concatenation variant
     comes back raw; apply normalize_conc for the comparable form."""
     return _BUILDERS[variant](c)
+
+
+# The collection variants, in the order reports and the CLI list them.
+COLLECTION_VARIANTS = (
+    Variant.EBWT,
+    Variant.DOL_EBWT,
+    Variant.MDOL_BWT,
+    Variant.CONC_BWT,
+    Variant.COLEX_BWT,
+)
+
+
+def build_normalized(variant: Variant, c: Collection) -> Transform:
+    """``build`` with the concatenation variant normalized, the form in
+    which the variants are compared."""
+    if variant is Variant.CONC_BWT:
+        return conc_bwt(c, normalize=True)
+    return build(variant, c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import importlib.util
+import pathlib
 import random
 import re
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 
@@ -79,3 +84,27 @@ def corpus():
     cols.append(from_seqs(TOY_SEQS))
     cols.append(from_seqs(EIGHT_SEQS))
     return cols
+
+
+@pytest.fixture(scope="session")
+def native(tmp_path_factory):
+    """The compiled kernels, built from the shipped ``_native.c`` into a
+    temporary directory with the flags the benchmark set-up uses and
+    loaded as ``bwtvariants._native``. Nothing is written under ``src/``.
+    Skips only when no C compiler exists."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]})")
+    c_file = pathlib.Path(__file__).parents[1] / "src" / "bwtvariants" / "_native.c"
+    so = tmp_path_factory.mktemp("native") / (
+        "_native" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    subprocess.run(
+        cc + ["-O2", "-shared", "-fPIC", "-I", sysconfig.get_paths()["include"],
+              str(c_file), "-o", str(so)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("bwtvariants._native", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,27 +1,24 @@
-"""The compiled kernels and the pure-Python fallback must agree exactly."""
+"""The compiled kernels and the pure-Python fallback must agree exactly.
+
+``native`` is the module compiled from the shipped C source (see
+conftest)."""
 
 import random
 from array import array
 
-import pytest
-
 from bwtvariants import _fallback
-
-native = pytest.importorskip(
-    "bwtvariants._native", reason="compiled kernels not built"
-)
 
 
 def rand_bytes(rng, n, sigma=4):
     return bytes(65 + rng.randrange(sigma) for _ in range(n))
 
 
-def test_backend_tags_differ():
+def test_backend_tags_differ(native):
     assert _fallback.BACKEND == "pure-python"
     assert native.BACKEND == "native"
 
 
-def test_suffix_array_agreement():
+def test_suffix_array_agreement(native):
     rng = random.Random(1)
     for trial in range(60):
         n = rng.randrange(1, 80)
@@ -37,7 +34,40 @@ def test_suffix_array_agreement():
     assert list(native.suffix_array([], 4)) == []
 
 
-def test_conjugate_sort_agreement():
+def test_suffix_array_permuted_separator_ranks(native):
+    # the separator sort: letters shifted past k separators whose values
+    # are a permutation of 1..k, in text order
+    rng = random.Random(5)
+    for _ in range(60):
+        k = rng.randrange(1, 7)
+        seqs = [rand_bytes(rng, rng.randrange(1, 10), rng.choice([1, 2, 4])) for _ in range(k)]
+        ranks = list(range(1, k + 1))
+        rng.shuffle(ranks)
+        data = array("i")
+        for s, rank in zip(seqs, ranks):
+            data.extend(b + k + 1 for b in s)
+            data.append(rank)
+        a = list(_fallback.suffix_array(data, k + 257))
+        assert a == list(native.suffix_array(data, k + 257))
+        assert a == sorted(range(len(data)), key=lambda i: list(data[i:]))
+
+
+def test_suffix_array_conc_rank_sequence(native):
+    # conc_order: k dense lex ranks (from 2) followed by the terminator 1
+    rng = random.Random(6)
+    for _ in range(60):
+        k = rng.randrange(1, 12)
+        pool = [rand_bytes(rng, rng.randrange(1, 4), 2) for _ in range(rng.randrange(1, 4))]
+        seqs = [rng.choice(pool) for _ in range(k)]
+        dense = {s: r for r, s in enumerate(sorted(set(seqs)), start=2)}
+        data = array("i", [dense[s] for s in seqs] + [1])
+        sigma = len(dense) + 2
+        a = list(_fallback.suffix_array(data, sigma))
+        assert a == list(native.suffix_array(data, sigma))
+        assert a == sorted(range(k + 1), key=lambda i: list(data[i:]))
+
+
+def test_conjugate_sort_agreement(native):
     rng = random.Random(2)
     for _ in range(60):
         k = rng.randrange(1, 6)
@@ -45,7 +75,7 @@ def test_conjugate_sort_agreement():
         assert list(_fallback.conjugate_sort(seqs)) == list(native.conjugate_sort(seqs))
 
 
-def test_shared_suffix_mask_agreement():
+def test_shared_suffix_mask_agreement(native):
     rng = random.Random(3)
     for _ in range(40):
         k = rng.randrange(1, 6)
@@ -67,12 +97,12 @@ def test_shared_suffix_mask_agreement():
         assert a == b
 
 
-def test_feasible_image_size_agreement():
+def test_feasible_image_size_agreement(native):
     for k in range(2, 8):
         assert int(_fallback.feasible_image_size(k)) == int(native.feasible_image_size(k))
 
 
-def test_distance_kernels_agreement():
+def test_distance_kernels_agreement(native):
     rng = random.Random(4)
     for _ in range(50):
         n = rng.randrange(0, 60)
@@ -83,14 +113,14 @@ def test_distance_kernels_agreement():
         assert _fallback.edit_distance(a, c) == native.edit_distance(a, c)
 
 
-def test_edit_distance_known_values():
+def test_edit_distance_known_values(native):
     for impl in (_fallback, native):
         assert impl.edit_distance(b"kitten", b"sitting") == 3
         assert impl.edit_distance(b"", b"abc") == 3
         assert impl.edit_distance(b"abc", b"abc") == 0
 
 
-def test_hamming_known_values():
+def test_hamming_known_values(native):
     for impl in (_fallback, native):
         assert impl.hamming(b"ABCD", b"ABDD") == 1
         assert impl.hamming(b"", b"") == 0

@@ -19,6 +19,7 @@ from bwtvariants import (
     is_feasible,
     lex_order,
     linking_permutation,
+    naive_rotation_sort,
     pi_conc,
     profile,
     to_text,
@@ -111,6 +112,41 @@ def test_linking_permutation_cycles():
         cur = phi(cur)
         seen.add(cur)
     assert seen == {1, 2, 3, 4, 5}
+
+
+def conc_separator_rows(c):
+    """rho values of the strings in the order of their separator rows in
+    the naive rotation sort of T_1 $ ... T_k $ #."""
+    matrix, _ = naive_rotation_sort(Variant.CONC_BWT, c)
+    owner = {}  # 1-based position of the separator after string i -> i
+    pos = 0
+    for i, s in enumerate(c.seqs()):
+        pos += len(s) + 1
+        owner[pos] = i
+    rho = input_rank_permutation(c)
+    return tuple(
+        rho(owner[ref.offset] + 1) for ref, _, _ in matrix.rows if ref.offset in owner
+    )
+
+
+def test_profile_pi_conc_is_conc_separator_order_with_duplicates():
+    c = from_seqs([b"AB", b"AB", b"B", b"AB"])
+    assert profile(c).pi_conc.one_line() == "3412"
+    assert pi_conc(profile(c).rho).one_line() == "3142"  # closed form: distinct strings only
+    rng = random.Random(12)
+    closed_form_wrong = 0
+    for _ in range(200):
+        pool = [
+            bytes(rng.choice(b"AB") for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        c = from_seqs([rng.choice(pool) for _ in range(rng.randint(1, 7))])
+        want = conc_separator_rows(c)
+        assert profile(c).pi_conc.mapping == want
+        if c.k >= 2 and pi_conc(profile(c).rho).mapping != want:
+            closed_form_wrong += 1
+    # the collections do reach the ties that rho does not decide
+    assert closed_form_wrong > 0
 
 
 def test_pi_conc_k3_table():
