@@ -7,7 +7,8 @@ selection logic. These are correct but slow on large inputs.
 from __future__ import annotations
 
 from array import array
-from itertools import permutations
+from itertools import permutations, repeat
+from operator import add, mul
 
 BACKEND = "pure-python"
 
@@ -131,50 +132,51 @@ def conjugate_sort(seqs: list[bytes]) -> array:
     Returns flat positions into the plain concatenation of ``seqs``; ties
     between rotations with identical infinite repetitions are broken by
     sequence length (the exponent rule) and then input position.
+
+    Prefix doubling over whole arrays: ``jump`` maps each position to the
+    one ``shift`` symbols later along its own string, and squaring it
+    doubles the shift, so each round is a few ``map`` passes, one sort of
+    integer keys and one loop writing the dense ranks.
     """
-    starts = [0]
-    for s in seqs:
-        starts.append(starts[-1] + len(s))
-    total = starts[-1]
+    data = b"".join(seqs)
+    total = len(data)
     if total == 0:
         return array("i")
-    sid = [0] * total
-    off = [0] * total
-    slen = [0] * total
-    data = bytearray()
-    for i, s in enumerate(seqs):
-        base = starts[i]
-        n = len(s)
-        for j in range(n):
-            sid[base + j] = i
-            off[base + j] = j
-            slen[base + j] = n
-        data += s
+    jump = array("i")
+    slen = array("i")
+    base = 0
+    for s in seqs:
+        m = len(s)
+        jump.extend(range(base + 1, base + m))
+        jump.append(base)
+        slen.extend(array("i", [m]) * m)
+        base += m
 
-    maxlen = max(len(s) for s in seqs)
-    rank = list(data)
+    maxlen = max(slen)
+    rank = array("q", iter(data))
+    width = 256
     shift = 1
     while shift < 2 * maxlen:
-        key2 = [0] * total
-        for p in range(total):
-            key2[p] = rank[starts[sid[p]] + (off[p] + shift) % slen[p]]
-        order = sorted(range(total), key=lambda p: (rank[p], key2[p]))
-        new_rank = [0] * total
-        cur = 0
-        prev = (rank[order[0]], key2[order[0]])
-        for p in order:
-            kk = (rank[p], key2[p])
-            if kk != prev:
+        keys = array(
+            "q", map(add, map(mul, rank, repeat(width)), map(rank.__getitem__, jump))
+        )
+        order = sorted(range(total), key=keys.__getitem__)
+        cur = -1
+        prev = -1
+        for p, key in zip(order, map(keys.__getitem__, order)):
+            if key != prev:
                 cur += 1
-                prev = kk
-            new_rank[p] = cur
-        rank = new_rank
-        if cur + 1 == total:
+                prev = key
+            rank[p] = cur
+        width = cur + 1
+        if width == total:
             break
+        jump = array("i", map(jump.__getitem__, jump))
         shift <<= 1
 
-    final = sorted(range(total), key=lambda p: (rank[p], slen[p], p))
-    return array("i", final)
+    # rank, then length, then position (the sort is stable)
+    keys = array("q", map(add, map(mul, rank, repeat(maxlen + 1)), slen))
+    return array("i", sorted(range(total), key=keys.__getitem__))
 
 
 # ---------------------------------------------------------------------------

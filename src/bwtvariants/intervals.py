@@ -11,22 +11,19 @@ intervals, so [b, e] is variant-independent.
 
 from __future__ import annotations
 
+import re
 import warnings
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt, sub
 
 from ._fmt import fmt
 from .collection import SEP_BYTE, Collection
 from .errors import ValidationError
-from .kernels import shared_suffix_mask
-from .ordering import lex_order, order_ranks
-from .transforms import (
-    Transform,
-    Variant,
-    _separator_sort,
-    _separator_text,
-)
+from .ordering import lex_order
+from .transforms import Transform, Variant, _separator_sa, _separator_sort
 
 SEP_SYMBOL = "$"
 
@@ -68,19 +65,34 @@ class IntervalReport:
 
 
 def _rotation_scan(seqs: list[bytes]):
-    """Rotation order of {T_i $}: the separator sort with lex ranks.
-    Returns (sa, ulen, owner, lsym, mask) over flat positions of the
-    input-order text; ulen is the length of the string suffix each
-    rotation starts with, owner its 1-based input index, lsym the last
-    column (the symbols of dol_ebwt) and mask the shared-suffix marks."""
-    sa, lsym = _separator_sort(seqs, order_ranks(lex_order(seqs)))
+    """Rotation order of {T_i $}: the separator sort of the strings laid
+    out in lex order, separator slot r ranked r. Returns
+    (sa, ulen, owner, lsym, mask) over flat positions of that text; ulen
+    is the length of the string suffix each rotation starts with, owner
+    its 1-based input index, lsym the last column (the symbols of
+    dol_ebwt) and mask[r] == 1 iff rows r and r+1 start with the same
+    string suffix.
+
+    The mask comes from a second sort with every separator rank
+    reversed (slot r ranked k+1-r). The two sorts order rows alike except
+    inside a block of rows sharing a string suffix, which the first lists
+    by rising text position and the second by falling position. So
+    W = sa - sa_reversed is 0 outside blocks and rises strictly inside
+    one; a block's last row has W >= 0 and the next block's first row
+    W <= 0, so W[r] < W[r+1] marks exactly the pairs inside a block.
+    """
+    lex = lex_order(seqs)
+    laid = [seqs[i] for i in lex]
+    k = len(laid)
+    sa, lsym = _separator_sort(laid, range(1, k + 1))
+    w = array("i", map(sub, sa, _separator_sa(laid, range(k, 0, -1))))
+    mask = bytes(map(lt, w, w[1:]))
     ulen = array("i")
     owner = array("i")
-    for i, s in enumerate(seqs, start=1):
+    for i, s in zip(lex, laid):
         m = len(s)
         ulen.extend(range(m, -1, -1))
-        owner.extend(array("i", [i]) * (m + 1))
-    mask = shared_suffix_mask(_separator_text(seqs), sa, ulen)
+        owner.extend(array("i", [i + 1]) * (m + 1))
     return sa, ulen, owner, lsym, mask
 
 
@@ -90,30 +102,28 @@ def _interval_scan(c: Collection) -> tuple[IntervalReport, Transform]:
     sa, ulen, owner, lsym, mask = _rotation_scan(seqs)
     n = len(sa)
     intervals: list[InterestingInterval] = []
-    r = 0
-    while r < n:
-        end = r
-        while end < n - 1 and mask[end]:
-            end += 1
-        if end > r:
-            parikh: dict[str, int] = {}
-            for t in range(r, end + 1):
-                sym = SEP_SYMBOL if lsym[t] == SEP_BYTE else chr(lsym[t])
-                parikh[sym] = parikh.get(sym, 0) + 1
-            if len(parikh) >= 2:
-                p = sa[r]
-                seq = seqs[owner[p] - 1]
-                suffix = seq[len(seq) - ulen[p]:] if ulen[p] else b""
-                intervals.append(
-                    InterestingInterval(
-                        b=r + 1,
-                        e=end + 1,
-                        shared_suffix=suffix,
-                        parikh=parikh,
-                        members=tuple(owner[sa[t]] for t in range(r, end + 1)),
-                    )
-                )
-        r = end + 1
+    # a run of marks at [b, e) joins rows b..e into one block
+    for block in re.finditer(rb"\x01+", mask):
+        b, e = block.start(), block.end()
+        rows = lsym[b : e + 1]
+        if len(set(rows)) < 2:
+            continue
+        parikh = {
+            SEP_SYMBOL if sym == SEP_BYTE else chr(sym): count
+            for sym, count in Counter(rows).items()
+        }
+        p = sa[b]
+        seq = seqs[owner[p] - 1]
+        suffix = seq[len(seq) - ulen[p]:] if ulen[p] else b""
+        intervals.append(
+            InterestingInterval(
+                b=b + 1,
+                e=e + 1,
+                shared_suffix=suffix,
+                parikh=parikh,
+                members=tuple(owner[sa[t]] for t in range(b, e + 1)),
+            )
+        )
     total = sum(iv.length for iv in intervals)
     fraction = Fraction(total, n) if n else Fraction(0)
     if intervals:

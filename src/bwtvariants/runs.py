@@ -13,7 +13,6 @@ small dynamic program tying together chains of rank-adjacent intervals.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
@@ -143,9 +142,11 @@ def _realize(c: Collection, chosen: dict[bytes, str]) -> Perm:
 
     Strings sharing a suffix are grouped; where the group's preceding
     symbols split, the chosen arrangement dictates the block order and
-    each symbol class recurses on the one-symbol-longer suffix. A pair of
-    distinct strings always splits at its longest common suffix, so the
-    order is fully determined (duplicates stay in input order).
+    each symbol class is ordered on the one-symbol-longer suffix. A pair
+    of distinct strings always splits at its longest common suffix, so
+    the order is fully determined (duplicates stay in input order).
+    Splits nest as deep as the longest shared suffix, so they are kept
+    on an explicit stack rather than the call stack.
     """
     seqs = c.seqs()
 
@@ -153,43 +154,49 @@ def _realize(c: Collection, chosen: dict[bytes, str]) -> Perm:
         s = seqs[idx]
         return SEP_SYMBOL if len(s) == wlen else chr(s[-(wlen + 1)])
 
-    def order_group(members: list[int], wlen: int) -> list[int]:
-        if len(members) == 1:
-            return members
-        classes: dict[str, list[int]] = {}
-        for m in members:
-            classes.setdefault(sym_of(m, wlen), []).append(m)
-        if len(classes) == 1:
-            sym = next(iter(classes))
-            if sym == SEP_SYMBOL:
-                return sorted(members)
-            return order_group(members, wlen + 1)
-        sample = seqs[members[0]]
-        suffix = sample[len(sample) - wlen:] if wlen else b""
-        arrangement = chosen[suffix]
-        ordered: dict[str, list[int]] = {}
-        for sym, group in classes.items():
-            if sym == SEP_SYMBOL:
-                ordered[sym] = sorted(group)
-            else:
-                ordered[sym] = order_group(group, wlen + 1)
-        taken = {sym: 0 for sym in ordered}
-        out = []
-        for sym in arrangement:
-            out.append(ordered[sym][taken[sym]])
-            taken[sym] += 1
-        return out
+    def descend(members: list[int], wlen: int):
+        """Lengthen the suffix while the group has one preceding symbol.
+        Returns (order, None, wlen) for a finished group, or
+        (None, classes, wlen) where the preceding symbols split."""
+        while len(members) > 1:
+            classes: dict[str, list[int]] = {}
+            for m in members:
+                classes.setdefault(sym_of(m, wlen), []).append(m)
+            if len(classes) > 1:
+                return None, classes, wlen
+            if SEP_SYMBOL in classes:
+                return sorted(members), None, wlen
+            wlen += 1
+        return members, None, wlen
 
-    limit = sys.getrecursionlimit()
-    need = max(len(s) for s in seqs) + 64
-    if need > limit:
-        sys.setrecursionlimit(need)
-    try:
-        order0 = order_group(list(range(len(seqs))), 0)
-    finally:
-        if need > limit:
-            sys.setrecursionlimit(limit)
-    return Perm(tuple(i + 1 for i in order0))
+    # per open split: [arrangement, ordered classes, classes left to
+    # order, suffix length, symbol of the class being ordered]
+    stack: list[list] = []
+    order, classes, wlen = descend(list(range(len(seqs))), 0)
+    while True:
+        if classes is not None:
+            sample = seqs[next(iter(classes.values()))[0]]
+            suffix = sample[len(sample) - wlen:] if wlen else b""
+            stack.append([chosen[suffix], {}, list(classes.items()), wlen, None])
+        while stack:
+            frame = stack[-1]
+            arrangement, ordered, pending, split_wlen, sym = frame
+            if order is not None:
+                ordered[sym] = order
+            if pending:
+                # a class has one preceding symbol, so descend orders it
+                # on the longer suffix (or sorts it if that is a separator)
+                frame[4], group = pending.pop()
+                order, classes, wlen = descend(group, split_wlen)
+                break
+            stack.pop()
+            taken = dict.fromkeys(ordered, 0)
+            order = []
+            for a in arrangement:
+                order.append(ordered[a][taken[a]])
+                taken[a] += 1
+        else:
+            return Perm(tuple(i + 1 for i in order))
 
 
 def optimal_order(c: Collection) -> OptimalOrderResult:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .collection import SEP_BYTE, TERM_BYTE, Collection, from_seqs
-from .errors import TransformError, ValidationError
+from .errors import GuardError, TransformError, ValidationError
 from .kernels import conjugate_sort, suffix_array
 from .ordering import colex_order, conc_order, lex_order, order_ranks
 
@@ -138,24 +138,43 @@ def from_text(text: str, variant: Variant) -> Transform:
 # builders
 
 
+# Positions, suffix-array entries and ranks are C ints in both kernels.
+_INT32_LIMIT = 2**31
+
+
+def _check_int32(size: int, what: str) -> None:
+    """Refuse an input whose ``size`` int32 indexes cannot hold."""
+    if size >= _INT32_LIMIT:
+        raise GuardError(f"{what} of {size} exceeds the int32 limit {_INT32_LIMIT - 1}")
+
+
+def _separator_sa(seqs: list[bytes], ranks: Sequence[int]) -> array:
+    """Suffix array of T_1 $ T_2 $ ... T_k $ where the separator after T_i
+    has the value ranks[i] (a permutation of 1..k). Letters are shifted
+    past the separators."""
+    k = len(seqs)
+    # the kernel appends one sentinel to the N + k symbols
+    _check_int32(sum(map(len, seqs)) + k + 1, "separator text with sentinel")
+    shift = k + 1
+    data = array("i")
+    for s, rank in zip(seqs, ranks):
+        data.extend([b + shift for b in s])
+        data.append(rank)
+    return suffix_array(data, shift + 256)
+
+
 def _separator_sort(seqs: list[bytes], ranks: Sequence[int]):
     """Sorted rotations of T_1 $ T_2 $ ... T_k $, where the separator
     after T_i has the value ranks[i] (a permutation of 1..k).
 
     Returns (sa, symbols): sa[r] is the flat position where row r's
     rotation starts, symbols the last column with every separator written
-    SEP_BYTE. Letters are shifted past the separators. Distinct
-    separators decide every comparison before the text ends, so rotation
-    order is suffix order, and the rows depend on the order of ``seqs``
-    only through ``ranks``: each variant is this sort with its own ranks.
+    SEP_BYTE. Distinct separators decide every comparison before the text
+    ends, so rotation order is suffix order, and the rows depend on the
+    order of ``seqs`` only through ``ranks``: each variant is this sort
+    with its own ranks.
     """
-    k = len(seqs)
-    shift = k + 1
-    data = array("i")
-    for s, rank in zip(seqs, ranks):
-        data.extend([b + shift for b in s])
-        data.append(rank)
-    sa = suffix_array(data, shift + 256)
+    sa = _separator_sa(seqs, ranks)
     text = _separator_text(seqs)
     before = text[-1:] + text[:-1]  # the symbol preceding each position
     return sa, bytes(map(before.__getitem__, sa))
@@ -230,23 +249,11 @@ def normalize_conc(t: Transform) -> Transform:
 
 
 def _conjugate_last_column(seqs: list[bytes]) -> bytes:
+    _check_int32(sum(map(len, seqs)), "collection length")
     order = conjugate_sort(seqs)
-    data = b"".join(seqs)
-    n = len(data)
-    start_of = array("i", [0]) * n
-    slen = array("i", [0]) * n
-    base = 0
-    for s in seqs:
-        m = len(s)
-        for j in range(m):
-            start_of[base + j] = base
-            slen[base + j] = m
-        base += m
-    out = bytearray(n)
-    for r in range(n):
-        p = order[r]
-        out[r] = data[p - 1] if p > start_of[p] else data[p + slen[p] - 1]
-    return bytes(out)
+    # the cyclically preceding symbol of each position of the concatenation
+    before = b"".join(s[-1:] + s[:-1] for s in seqs)
+    return bytes(map(before.__getitem__, order))
 
 
 def ebwt(c: Collection) -> Transform:

@@ -1,5 +1,7 @@
 """Interesting intervals and the variability statistic."""
 
+import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ from bwtvariants import (
     GuardError,
     ValidationError,
     Variant,
+    _fallback,
+    analyze,
     brute_force_interval_max_runs,
     from_seqs,
     hamming,
@@ -17,7 +21,10 @@ from bwtvariants import (
     max_runs_bound,
     variability,
 )
+from bwtvariants import transforms
+from bwtvariants.intervals import _rotation_scan
 from bwtvariants.oracle import naive_rotation_sort
+from bwtvariants.ordering import lex_order
 
 
 def test_toy_intervals_exact(toy):
@@ -179,3 +186,72 @@ def test_hamming_upper_bound_dominates_pairwise_distances(corpus):
         for i in range(len(ts)):
             for j in range(i + 1, len(ts)):
                 assert hamming(ts[i], ts[j]) <= bound
+
+
+def shaped_collections(seed, count):
+    """Small random collections that mix in the shapes a shared-suffix
+    scan must get right: duplicates, proper suffixes of earlier strings,
+    non-primitive strings and one-letter alphabets."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        alpha = rng.choice([b"A", b"AB", b"ACGT"])
+
+        def word(lo, hi):
+            return bytes(rng.choice(alpha) for _ in range(rng.randint(lo, hi)))
+
+        seqs = []
+        for _ in range(rng.randint(1, 8)):
+            pick = rng.random()
+            earlier = rng.choice(seqs) if seqs else b""
+            if earlier and pick < 0.2:
+                seqs.append(earlier)
+            elif len(earlier) > 1 and pick < 0.4:
+                seqs.append(earlier[rng.randrange(1, len(earlier)):])
+            elif pick < 0.55:
+                seqs.append(word(1, 3) * rng.randint(2, 4))
+            else:
+                seqs.append(word(1, 10))
+        out.append(seqs)
+    return out
+
+
+def test_two_sort_mask_equals_shared_suffix_mask(native, monkeypatch):
+    cols = shaped_collections(20261020, 1000)
+    shapes = {"duplicate": 0, "proper suffix": 0, "non-primitive": 0, "one letter": 0}
+    for seqs in cols:
+        shapes["duplicate"] += len(set(seqs)) < len(seqs)
+        shapes["proper suffix"] += any(
+            s != t and t.endswith(s) for s in seqs for t in seqs
+        )
+        shapes["non-primitive"] += any(s in (s + s)[1:-1] for s in seqs)
+        shapes["one letter"] += len(set(b"".join(seqs))) == 1
+    assert min(shapes.values()) >= 50, shapes
+
+    def check(seqs):
+        sa, ulen, _, _, mask = _rotation_scan(seqs)
+        # the scan's positions are in the text of the lex-ordered strings
+        text = transforms._separator_text([seqs[i] for i in lex_order(seqs)])
+        assert mask == _fallback.shared_suffix_mask(text, sa, ulen), seqs
+        assert mask == native.shared_suffix_mask(text, sa, ulen), seqs
+
+    for seqs in cols:
+        check(seqs)
+    # the same two sorts run by the compiled suffix-array kernel
+    monkeypatch.setattr(transforms, "suffix_array", native.suffix_array)
+    for seqs in cols:
+        check(seqs)
+
+
+def test_intervals_and_analyze_do_not_use_shared_suffix_mask(toy, monkeypatch):
+    want_intervals = interesting_intervals(toy)
+    want_report = analyze(toy).to_json()
+
+    def refuse(*args):
+        raise AssertionError("shared_suffix_mask was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bwtvariants") and hasattr(module, "shared_suffix_mask"):
+            monkeypatch.setattr(module, "shared_suffix_mask", refuse)
+    assert interesting_intervals(toy) == want_intervals
+    assert analyze(toy).to_json() == want_report

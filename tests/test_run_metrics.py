@@ -1,5 +1,7 @@
 """Run counts, run-length encoding, and the run-minimizing input order."""
 
+import inspect
+import sys
 from decimal import Decimal
 from itertools import permutations
 
@@ -179,3 +181,23 @@ def test_count_runs_accepts_transform_text(toy):
     text = to_text(build(Variant.DOL_EBWT, toy))
     assert count_runs(text).r == 14
     assert count_runs(from_text(text, Variant.DOL_EBWT)).r == 14
+
+
+def test_optimal_order_under_a_recursion_limit_below_its_split_depth(monkeypatch):
+    # the strings sharing A^j split off C A^j at every j: 300 nested splits
+    c = from_seqs([b"C" + b"A" * i for i in range(1, 301)])
+    want = optimal_order(c)
+    set_limit = sys.setrecursionlimit
+    old = sys.getrecursionlimit()
+
+    def refuse(limit):
+        raise AssertionError("optimal_order changed the recursion limit")
+
+    set_limit(len(inspect.stack(0)) + 100)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        got = optimal_order(c)
+    finally:
+        set_limit(old)
+    assert got == want
+    assert len(got.arrangements) == 299

@@ -3,6 +3,7 @@
 import pytest
 
 from bwtvariants import (
+    GuardError,
     TransformError,
     ValidationError,
     Variant,
@@ -18,6 +19,11 @@ from bwtvariants import (
     normalize_conc,
     single_bwt,
     to_text,
+)
+from bwtvariants.transforms import (
+    _check_int32,
+    _conjugate_last_column,
+    _separator_sa,
 )
 
 TOY_GOLDEN = {
@@ -170,3 +176,24 @@ def test_reserved_bytes_rejected_by_builders():
         mdol_bwt(from_seqs([b"A$B"]))
     with pytest.raises(ValidationError):
         ebwt(from_seqs([b"A\x01B"]))
+
+
+class _Sized:
+    """Stands in for a string of ``n`` symbols without allocating them."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+def test_int32_guard():
+    _check_int32(2**31 - 1, "size")
+    with pytest.raises(GuardError, match="int32"):
+        _check_int32(2**31, "size")
+    # separator sorts index N + k symbols plus the kernel's sentinel
+    with pytest.raises(GuardError):
+        _separator_sa([_Sized(2**31 - 3), _Sized(1)], [1, 2])
+    with pytest.raises(GuardError):
+        _conjugate_last_column([_Sized(2**31 - 1), _Sized(1)])
