@@ -1,6 +1,7 @@
-"""Build script. The compiled kernel module is optional: when Cython or a C
-toolchain is unavailable the package installs anyway and falls back to the
-pure-Python kernels at import time."""
+"""Build script. The compiled kernel module is optional: when a C toolchain
+is unavailable the package installs anyway and falls back to the
+pure-Python kernels at import time. Without Cython the shipped
+``_native.c``, generated from ``_native.pyx``, is compiled instead."""
 
 import os
 
@@ -10,15 +11,17 @@ ext_modules = []
 if not os.environ.get("BWTVARIANTS_NO_EXT"):
     try:
         from Cython.Build import cythonize
-
+    except ImportError:
+        cythonize = None
+    source = "src/bwtvariants/_native." + ("pyx" if cythonize else "c")
+    ext_modules = [
+        Extension(
+            "bwtvariants._native", [source], extra_compile_args=["-O2"], optional=True
+        )
+    ]
+    if cythonize:
         ext_modules = cythonize(
-            [
-                Extension(
-                    "bwtvariants._native",
-                    ["src/bwtvariants/_native.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
+            ext_modules,
             compiler_directives={
                 "language_level": "3",
                 "boundscheck": False,
@@ -26,7 +29,5 @@ if not os.environ.get("BWTVARIANTS_NO_EXT"):
                 "cdivision": True,
             },
         )
-    except ImportError:
-        ext_modules = []
 
 setup(ext_modules=ext_modules)

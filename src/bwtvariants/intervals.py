@@ -32,13 +32,18 @@ SEP_SYMBOL = "$"
 class InterestingInterval:
     b: int
     e: int
-    shared_suffix: bytes
+    source: bytes  # a member string; the shared suffix is its tail
+    suffix_length: int
     parikh: dict[str, int]
     members: tuple[int, ...]  # 1-based input indexes in rank order
 
     @property
     def length(self) -> int:
         return self.e - self.b + 1
+
+    @property
+    def shared_suffix(self) -> bytes:
+        return self.source[len(self.source) - self.suffix_length:]
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,13 @@ def _rotation_scan(seqs: list[bytes]):
     sa, lsym = _separator_sort(laid, range(1, k + 1))
     w = array("i", map(sub, sa, _separator_sa(laid, range(k, 0, -1))))
     mask = bytes(map(lt, w, w[1:]))
+    longest = max(map(len, laid))
+    countdown = array("i", range(longest, -1, -1))
     ulen = array("i")
     owner = array("i")
     for i, s in zip(lex, laid):
         m = len(s)
-        ulen.extend(range(m, -1, -1))
+        ulen.extend(countdown[longest - m:])
         owner.extend(array("i", [i + 1]) * (m + 1))
     return sa, ulen, owner, lsym, mask
 
@@ -113,15 +120,14 @@ def _interval_scan(c: Collection) -> tuple[IntervalReport, Transform]:
             for sym, count in Counter(rows).items()
         }
         p = sa[b]
-        seq = seqs[owner[p] - 1]
-        suffix = seq[len(seq) - ulen[p]:] if ulen[p] else b""
         intervals.append(
             InterestingInterval(
                 b=b + 1,
                 e=e + 1,
-                shared_suffix=suffix,
+                source=seqs[owner[p] - 1],
+                suffix_length=ulen[p],
                 parikh=parikh,
-                members=tuple(owner[sa[t]] for t in range(b, e + 1)),
+                members=tuple(map(owner.__getitem__, sa[b : e + 1])),
             )
         )
     total = sum(iv.length for iv in intervals)

@@ -9,6 +9,12 @@ because co-members of a deeper interval all carry the same symbol in the
 shallower one. Minimizing runs therefore reduces to choosing, per
 interval, one block per symbol and the first/last block symbols, with a
 small dynamic program tying together chains of rank-adjacent intervals.
+
+The chosen arrangements are realized by one stable sort of the strings
+on byte keys, one byte per interval a string belongs to (the block of
+the arrangement its preceding symbol falls in). Building the keys is
+linear in the total interval length, at most N + k bytes; the sort then
+compares k keys.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 
 from ._fmt import fmt
-from .collection import Collection
+from .collection import SEP_BYTE, Collection
 from .errors import ValidationError
 from .intervals import SEP_SYMBOL, IntervalReport, _interval_scan
 from .permutations import Perm
@@ -92,6 +99,10 @@ def rle_text(stats: RunStats) -> str:
     return "".join(f"{sym}\t{length}\n" for sym, length in stats.rle)
 
 
+# byte -> 1 if it is non-zero
+_NONZERO = bytes(1) + b"\x01" * 255
+
+
 @dataclass(frozen=True)
 class OptimalOrderResult:
     permutation: Perm
@@ -137,66 +148,31 @@ def _expand_arrangement(parikh, first, last):
     return first * parikh[first] + middle + last * parikh[last]
 
 
-def _realize(c: Collection, chosen: dict[bytes, str]) -> Perm:
-    """Build one input order realizing every chosen interval arrangement.
+def _realize(k: int, intervals, chosen: dict[int, str], symbols: bytes) -> Perm:
+    """One input order realizing every chosen interval arrangement.
 
-    Strings sharing a suffix are grouped; where the group's preceding
-    symbols split, the chosen arrangement dictates the block order and
-    each symbol class is ordered on the one-symbol-longer suffix. A pair
-    of distinct strings always splits at its longest common suffix, so
-    the order is fully determined (duplicates stay in input order).
-    Splits nest as deep as the longest shared suffix, so they are kept
-    on an explicit stack rather than the call stack.
+    Each string gets a key of one byte per interval it belongs to, taken
+    shallowest shared suffix first: the block of the arrangement that its
+    preceding symbol falls in, read off the interval's rows of
+    ``symbols`` (the template's last column) with one table lookup. Two
+    distinct strings have equal bytes on every interval shallower than
+    their longest common suffix and differ on its interval, where their
+    preceding symbols differ ('$' for a string that ends there); so
+    sorting by key lists every interval's members block by block, as
+    chosen. Equal strings get equal keys and the sort is stable, so they
+    stay in input order. The keys hold one byte per interval row, at most
+    N + k in all.
     """
-    seqs = c.seqs()
-
-    def sym_of(idx: int, wlen: int) -> str:
-        s = seqs[idx]
-        return SEP_SYMBOL if len(s) == wlen else chr(s[-(wlen + 1)])
-
-    def descend(members: list[int], wlen: int):
-        """Lengthen the suffix while the group has one preceding symbol.
-        Returns (order, None, wlen) for a finished group, or
-        (None, classes, wlen) where the preceding symbols split."""
-        while len(members) > 1:
-            classes: dict[str, list[int]] = {}
-            for m in members:
-                classes.setdefault(sym_of(m, wlen), []).append(m)
-            if len(classes) > 1:
-                return None, classes, wlen
-            if SEP_SYMBOL in classes:
-                return sorted(members), None, wlen
-            wlen += 1
-        return members, None, wlen
-
-    # per open split: [arrangement, ordered classes, classes left to
-    # order, suffix length, symbol of the class being ordered]
-    stack: list[list] = []
-    order, classes, wlen = descend(list(range(len(seqs))), 0)
-    while True:
-        if classes is not None:
-            sample = seqs[next(iter(classes.values()))[0]]
-            suffix = sample[len(sample) - wlen:] if wlen else b""
-            stack.append([chosen[suffix], {}, list(classes.items()), wlen, None])
-        while stack:
-            frame = stack[-1]
-            arrangement, ordered, pending, split_wlen, sym = frame
-            if order is not None:
-                ordered[sym] = order
-            if pending:
-                # a class has one preceding symbol, so descend orders it
-                # on the longer suffix (or sorts it if that is a separator)
-                frame[4], group = pending.pop()
-                order, classes, wlen = descend(group, split_wlen)
-                break
-            stack.pop()
-            taken = dict.fromkeys(ordered, 0)
-            order = []
-            for a in arrangement:
-                order.append(ordered[a][taken[a]])
-                taken[a] += 1
-        else:
-            return Perm(tuple(i + 1 for i in order))
+    keys = [bytearray() for _ in range(k + 1)]
+    for iv in sorted(intervals, key=attrgetter("suffix_length")):
+        table = bytearray(256)
+        # one block per distinct symbol, so an index fits in a byte
+        for block, sym in enumerate(dict.fromkeys(chosen[iv.b])):
+            table[SEP_BYTE if sym == SEP_SYMBOL else ord(sym)] = block
+        blocks = symbols[iv.b - 1 : iv.e].translate(table)
+        for m, block in zip(iv.members, blocks):
+            keys[m].append(block)
+    return Perm(tuple(sorted(range(1, k + 1), key=keys.__getitem__)))
 
 
 def optimal_order(c: Collection) -> OptimalOrderResult:
@@ -218,37 +194,50 @@ def _optimal_order(
     c: Collection, report: IntervalReport, dol: Transform
 ) -> OptimalOrderResult:
     """``optimal_order`` from an interval scan's report and dol_ebwt,
-    which is the template every order shares outside the intervals."""
+    which is the template every order shares outside the intervals.
+
+    The transitions between template rows outside the intervals are
+    counted over whole buffers, one byte per row. Each chain of
+    rank-adjacent intervals then gets its arrangements from
+    ``_solve_chain``, ``_realize`` turns them into an input order, and
+    a build of the reordered mdol_bwt must reach the planned count."""
     if not report.intervals:
         # all orders give the same transform
         return OptimalOrderResult(Perm.identity(c.k), count_runs(dol).r, ())
     template = to_text(dol)
-    n = len(template)
-    intervals = sorted(report.intervals, key=lambda iv: iv.b)
-    inside = bytearray(n + 2)
+    symbols = dol.symbols
+    n = len(symbols)
+    intervals = sorted(report.intervals, key=attrgetter("b"))
+    # outside holds one 0/1 byte per row and differ one per pair of
+    # adjacent rows, so their big-integer AND marks the transitions
+    # between rows that both lie outside the intervals
+    outside = bytearray(b"\x01") * n
     for iv in intervals:
-        for p in range(iv.b, iv.e + 1):
-            inside[p] = 1
-    transitions = 0
-    for p in range(1, n):
-        if not inside[p] and not inside[p + 1] and template[p - 1] != template[p]:
-            transitions += 1
+        outside[iv.b - 1 : iv.e] = bytes(iv.length)
+    differ = (
+        int.from_bytes(symbols[:-1], "big") ^ int.from_bytes(symbols[1:], "big")
+    ).to_bytes(n - 1, "big").translate(_NONZERO)
+    transitions = (
+        int.from_bytes(outside[:-1], "big")
+        & int.from_bytes(outside[1:], "big")
+        & int.from_bytes(differ, "big")
+    ).bit_count()
     chains: list[list] = [[intervals[0]]]
     for iv in intervals[1:]:
         if iv.b == chains[-1][-1].e + 1:
             chains[-1].append(iv)
         else:
             chains.append([iv])
-    chosen: dict[bytes, str] = {}
+    chosen: dict[int, str] = {}  # interval start -> arrangement
     for chain in chains:
         left = template[chain[0].b - 2] if chain[0].b > 1 else None
         right = template[chain[-1].e] if chain[-1].e < n else None
         cost, picks = _solve_chain(chain, left, right)
         transitions += cost
         for iv, (f, l) in zip(chain, picks):
-            chosen[iv.shared_suffix] = _expand_arrangement(iv.parikh, f, l)
+            chosen[iv.b] = _expand_arrangement(iv.parikh, f, l)
     r_opt = transitions + 1
-    perm = _realize(c, chosen)
+    perm = _realize(c.k, intervals, chosen, symbols)
     rebuilt = count_runs(mdol_bwt(c.reordered([v - 1 for v in perm.mapping]))).r
     if rebuilt != r_opt:
         raise RuntimeError(
@@ -257,7 +246,7 @@ def _optimal_order(
     return OptimalOrderResult(
         perm,
         r_opt,
-        tuple((iv.b, iv.e, chosen[iv.shared_suffix]) for iv in intervals),
+        tuple((iv.b, iv.e, chosen[iv.b]) for iv in intervals),
     )
 
 

@@ -30,6 +30,7 @@ text form renders them '$' and '#'.
 from __future__ import annotations
 
 import enum
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,15 +152,30 @@ def _check_int32(size: int, what: str) -> None:
 def _separator_sa(seqs: list[bytes], ranks: Sequence[int]) -> array:
     """Suffix array of T_1 $ T_2 $ ... T_k $ where the separator after T_i
     has the value ranks[i] (a permutation of 1..k). Letters are shifted
-    past the separators."""
+    past the separators.
+
+    The int text is written a byte plane at a time: byte j of every
+    letter value is one ``translate`` of the text, stored into byte j of
+    each int with one strided slice assignment.
+    """
     k = len(seqs)
     # the kernel appends one sentinel to the N + k symbols
     _check_int32(sum(map(len, seqs)) + k + 1, "separator text with sentinel")
     shift = k + 1
-    data = array("i")
+    text = _separator_text(seqs)
+    data = array("i", [0]) * len(text)
+    width = data.itemsize
+    with memoryview(data).cast("B") as planes:
+        for j in range(width):
+            plane = bytes((b + shift) >> (8 * j) & 0xFF for b in range(256))
+            if any(plane):
+                at = j if sys.byteorder == "little" else width - 1 - j
+                planes[at::width] = text.translate(plane)
+    del text  # not held while the kernel runs
+    end = -1
     for s, rank in zip(seqs, ranks):
-        data.extend([b + shift for b in s])
-        data.append(rank)
+        end += len(s) + 1
+        data[end] = rank
     return suffix_array(data, shift + 256)
 
 

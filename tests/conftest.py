@@ -72,6 +72,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"criterion {num}: {rows[num]}")
 
 
+def shaped_collections(seed, count):
+    """Small random collections that mix in the shapes a shared-suffix
+    scan must get right: duplicates, proper suffixes of earlier strings,
+    non-primitive strings and one-letter alphabets."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        alpha = rng.choice([b"A", b"AB", b"ACGT"])
+
+        def word(lo, hi):
+            return bytes(rng.choice(alpha) for _ in range(rng.randint(lo, hi)))
+
+        seqs = []
+        for _ in range(rng.randint(1, 8)):
+            pick = rng.random()
+            earlier = rng.choice(seqs) if seqs else b""
+            if earlier and pick < 0.2:
+                seqs.append(earlier)
+            elif len(earlier) > 1 and pick < 0.4:
+                seqs.append(earlier[rng.randrange(1, len(earlier)):])
+            elif pick < 0.55:
+                seqs.append(word(1, 3) * rng.randint(2, 4))
+            else:
+                seqs.append(word(1, 10))
+        out.append(seqs)
+    return out
+
+
+@pytest.fixture(scope="session")
+def shaped_corpus():
+    """1,000 shaped collections (as lists of sequences)."""
+    return shaped_collections(20261020, 1000)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     cols = random_collections(20260816, 120)

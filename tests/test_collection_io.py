@@ -86,6 +86,31 @@ def test_validate_reports_everything():
         c.require_valid()
 
 
+def test_validate_messages_in_record_order():
+    c = Collection(
+        (
+            SeqRecord("a", b"AC$G"),
+            SeqRecord("b", b""),
+            SeqRecord("c", b"ACGT"),
+            SeqRecord("d", b"\x00#A\x01"),
+            SeqRecord("e", b""),
+            SeqRecord("f", b"$$"),
+        )
+    )
+    assert validate(c) == [
+        "record 1 ('a') contains reserved byte(s) 0x24",
+        "record 2 ('b') has an empty sequence",
+        "record 4 ('d') contains reserved byte(s) 0x00, 0x01, 0x23",
+        "record 5 ('e') has an empty sequence",
+        "record 6 ('f') contains reserved byte(s) 0x24",
+    ]
+
+
+def test_validate_valid_collection(toy):
+    assert validate(toy) == []
+    assert validate(from_seqs([b"\x02\xff", b"A"])) == []
+
+
 def test_validate_empty_collection():
     assert validate(Collection(())) == ["collection is empty (k = 0)"]
 

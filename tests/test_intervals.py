@@ -1,6 +1,5 @@
 """Interesting intervals and the variability statistic."""
 
-import random
 import sys
 import warnings
 from fractions import Fraction
@@ -188,36 +187,8 @@ def test_hamming_upper_bound_dominates_pairwise_distances(corpus):
                 assert hamming(ts[i], ts[j]) <= bound
 
 
-def shaped_collections(seed, count):
-    """Small random collections that mix in the shapes a shared-suffix
-    scan must get right: duplicates, proper suffixes of earlier strings,
-    non-primitive strings and one-letter alphabets."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        alpha = rng.choice([b"A", b"AB", b"ACGT"])
-
-        def word(lo, hi):
-            return bytes(rng.choice(alpha) for _ in range(rng.randint(lo, hi)))
-
-        seqs = []
-        for _ in range(rng.randint(1, 8)):
-            pick = rng.random()
-            earlier = rng.choice(seqs) if seqs else b""
-            if earlier and pick < 0.2:
-                seqs.append(earlier)
-            elif len(earlier) > 1 and pick < 0.4:
-                seqs.append(earlier[rng.randrange(1, len(earlier)):])
-            elif pick < 0.55:
-                seqs.append(word(1, 3) * rng.randint(2, 4))
-            else:
-                seqs.append(word(1, 10))
-        out.append(seqs)
-    return out
-
-
-def test_two_sort_mask_equals_shared_suffix_mask(native, monkeypatch):
-    cols = shaped_collections(20261020, 1000)
+def test_two_sort_mask_equals_shared_suffix_mask(native, monkeypatch, shaped_corpus):
+    cols = shaped_corpus
     shapes = {"duplicate": 0, "proper suffix": 0, "non-primitive": 0, "one letter": 0}
     for seqs in cols:
         shapes["duplicate"] += len(set(seqs)) < len(seqs)

@@ -6,7 +6,9 @@ conftest)."""
 import random
 from array import array
 
-from bwtvariants import _fallback
+import pytest
+
+from bwtvariants import _fallback, transforms
 
 
 def rand_bytes(rng, n, sigma=4):
@@ -65,6 +67,32 @@ def test_suffix_array_conc_rank_sequence(native):
         a = list(_fallback.suffix_array(data, sigma))
         assert a == list(native.suffix_array(data, sigma))
         assert a == sorted(range(k + 1), key=lambda i: list(data[i:]))
+
+
+@pytest.mark.parametrize("k", [1, 255, 256, 65280])
+def test_separator_sa_byte_planes(native, monkeypatch, k):
+    # letter b is stored as b + k + 1: from k = 255 the high letters
+    # carry into a second byte, and at k = 65,280 letter 255 needs a third
+    rng = random.Random(k)
+    alphabet = bytes([2, 65, 0x7F, 0x80, 0xFE, 0xFF])
+    seqs = [bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 3))) for _ in range(k)]
+    ranks = list(range(1, k + 1))
+    rng.shuffle(ranks)
+    want = array("i")
+    for s, rank in zip(seqs, ranks):
+        want.extend([b + k + 1 for b in s])
+        want.append(rank)
+    for impl in (_fallback, native):
+        fed = []
+
+        def record(data, sigma, impl=impl):
+            fed.append((array("i", data), sigma))
+            return impl.suffix_array(data, sigma)
+
+        monkeypatch.setattr(transforms, "suffix_array", record)
+        got = transforms._separator_sa(seqs, ranks)
+        assert fed == [(want, k + 257)]
+        assert got == impl.suffix_array(want, k + 257)
 
 
 def test_conjugate_sort_agreement(native):

@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import warnings
 from decimal import Decimal
 from itertools import permutations
 
@@ -18,6 +19,7 @@ from bwtvariants import (
     count_runs,
     from_seqs,
     from_text,
+    interesting_intervals,
     is_feasible,
     gamma,
     mdol_bwt,
@@ -201,3 +203,44 @@ def test_optimal_order_under_a_recursion_limit_below_its_split_depth(monkeypatch
         set_limit(old)
     assert got == want
     assert len(got.arrangements) == 299
+    assert_order_realizes_arrangements(c, got)
+
+
+def assert_order_realizes_arrangements(c, res):
+    """Read the realized order on its own terms: listed in the order of
+    ``res.permutation``, the strings ending with each interval's shared
+    suffix are preceded by exactly the symbols of its chosen arrangement
+    ('$' for a string that is the suffix), and equal strings keep their
+    input order."""
+    seqs = c.seqs()
+    order = res.permutation.mapping
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        intervals = interesting_intervals(c).intervals
+    suffix_at = {(iv.b, iv.e): iv.shared_suffix for iv in intervals}
+    assert len(res.arrangements) == len(suffix_at)
+    for b, e, arrangement in res.arrangements:
+        u = suffix_at[(b, e)]
+        spelled = "".join(
+            "$" if len(s) == len(u) else chr(s[-len(u) - 1])
+            for s in (seqs[m - 1] for m in order)
+            if s.endswith(u)
+        )
+        assert spelled == arrangement, (seqs, u)
+        assert len(arrangement) == e - b + 1
+    by_string: dict[bytes, list[int]] = {}
+    for m in order:
+        by_string.setdefault(seqs[m - 1], []).append(m)
+    assert all(ms == sorted(ms) for ms in by_string.values()), seqs
+
+
+def test_optimal_order_spells_every_arrangement(shaped_corpus):
+    # the corpus mixes duplicates, proper suffixes, non-primitive strings
+    # and one-letter alphabets (counted in test_intervals)
+    realized = 0
+    for seqs in shaped_corpus:
+        c = from_seqs(seqs)
+        res = optimal_order(c)
+        assert_order_realizes_arrangements(c, res)
+        realized += bool(res.arrangements)
+    assert realized >= 500
