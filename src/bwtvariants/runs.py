@@ -20,9 +20,11 @@ compares k keys.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from operator import attrgetter
 
 from ._fmt import fmt
@@ -38,39 +40,50 @@ class RunStats:
     r: int
     n: int
     mean_run_length: Decimal
-    rle: tuple[tuple[str, int], ...]
+    _display: bytes = field(repr=False)  # the counted text, one byte per symbol
+
+    @cached_property
+    def rle(self) -> tuple[tuple[str, int], ...]:
+        """(symbol, run length) per run, in display characters."""
+        return tuple((chr(sym), len(list(run))) for sym, run in groupby(self._display))
 
 
-def _display_text(t) -> str:
+def _display_bytes(t) -> bytes:
     if isinstance(t, Transform):
-        return to_text(t)
+        return to_text(t).encode("latin-1")
     if isinstance(t, bytes):
-        return t.decode("latin-1")
-    if isinstance(t, str):
         return t
+    if isinstance(t, str):
+        # every transform text is latin-1
+        try:
+            return t.encode("latin-1")
+        except UnicodeEncodeError:
+            raise ValidationError("cannot count runs of non-latin-1 text") from None
     raise ValidationError(f"cannot count runs of {type(t).__name__}")
 
 
+# byte -> 1 if it is non-zero
+_NONZERO = bytes(1) + b"\x01" * 255
+
+
+def _changes(symbols: bytes) -> bytes:
+    """One byte per pair of adjacent symbols, 1 where they differ: one
+    big-integer XOR of the symbols and their shift."""
+    return (
+        int.from_bytes(symbols[:-1], "big") ^ int.from_bytes(symbols[1:], "big")
+    ).to_bytes(len(symbols) - 1, "big").translate(_NONZERO)
+
+
 def count_runs(t) -> RunStats:
-    """Maximal equal-symbol segmentation. Accepts a Transform or plain
-    text; all separators count as one symbol class."""
-    text = _display_text(t)
-    if not text:
+    """Maximal equal-symbol segmentation. Accepts a Transform, bytes or
+    latin-1 text; all separators count as one symbol class. The
+    run-length encoding ``rle`` is built when first read."""
+    display = _display_bytes(t)
+    if not display:
         raise ValidationError("empty transform has no runs")
-    rle: list[tuple[str, int]] = []
-    prev = text[0]
-    length = 0
-    for ch in text:
-        if ch == prev:
-            length += 1
-        else:
-            rle.append((prev, length))
-            prev = ch
-            length = 1
-    rle.append((prev, length))
-    n = len(text)
-    r = len(rle)
-    return RunStats(r, n, Decimal(fmt(Fraction(n, r), 3)), tuple(rle))
+    n = len(display)
+    r = _changes(display).count(1) + 1
+    return RunStats(r, n, Decimal(fmt(Fraction(n, r), 3)), display)
 
 
 def rle_encode(t) -> RunStats:
@@ -97,10 +110,6 @@ def rle_decode(rle, variant: Variant) -> Transform:
 
 def rle_text(stats: RunStats) -> str:
     return "".join(f"{sym}\t{length}\n" for sym, length in stats.rle)
-
-
-# byte -> 1 if it is non-zero
-_NONZERO = bytes(1) + b"\x01" * 255
 
 
 @dataclass(frozen=True)
@@ -208,19 +217,16 @@ def _optimal_order(
     symbols = dol.symbols
     n = len(symbols)
     intervals = sorted(report.intervals, key=attrgetter("b"))
-    # outside holds one 0/1 byte per row and differ one per pair of
+    # outside holds one 0/1 byte per row and _changes one per pair of
     # adjacent rows, so their big-integer AND marks the transitions
     # between rows that both lie outside the intervals
     outside = bytearray(b"\x01") * n
     for iv in intervals:
         outside[iv.b - 1 : iv.e] = bytes(iv.length)
-    differ = (
-        int.from_bytes(symbols[:-1], "big") ^ int.from_bytes(symbols[1:], "big")
-    ).to_bytes(n - 1, "big").translate(_NONZERO)
     transitions = (
         int.from_bytes(outside[:-1], "big")
         & int.from_bytes(outside[1:], "big")
-        & int.from_bytes(differ, "big")
+        & int.from_bytes(_changes(symbols), "big")
     ).bit_count()
     chains: list[list] = [[intervals[0]]]
     for iv in intervals[1:]:

@@ -132,7 +132,7 @@ def from_text(text: str, variant: Variant) -> Transform:
     if variant is Variant.SINGLE_BWT:
         return Transform(variant, symbols, 1, len(symbols))
     # ebwt: the string count equals the number of LF cycles
-    return Transform(variant, symbols, _count_lf_cycles(symbols), len(symbols))
+    return Transform(variant, symbols, len(_lf_cycles(symbols)), len(symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +343,26 @@ def _lf_table(symbols: bytes) -> array:
     return lf
 
 
+def _lf_walk(symbols: bytes, lf: array, row: int, seen: bytearray) -> bytes:
+    """Walk the LF mapping left from ``row`` until a marked row, marking
+    every row passed; returns the symbols read, in text order."""
+    out = bytearray()
+    while not seen[row]:
+        seen[row] = 1
+        out.append(symbols[row])
+        row = lf[row]
+    out.reverse()
+    return bytes(out)
+
+
+# byte -> 1 for the separator, else 0
+_SEPARATOR_ROWS = bytes(b == SEP_BYTE for b in range(256))
+
+
 def invert_separator_based(t: Transform) -> Collection:
     """Recover the k strings by walking the LF mapping left from each of
-    the first k rows (the rotations that start with a separator).
+    the first k rows (the rotations that start with a separator) to the
+    next row whose last symbol is a separator.
 
     Output order is the variant's separator order: input order for
     mdol_bwt, lexicographic for dol_ebwt, colexicographic for colex_bwt,
@@ -362,43 +379,26 @@ def invert_separator_based(t: Transform) -> Collection:
     k = symbols.count(SEP_BYTE)
     if k == 0:
         raise TransformError("no separators to anchor the inversion")
-    n = len(symbols)
+    # LF maps only separator rows into rows 0..k-1, so a walk from one of
+    # them never re-enters its start and ends at a separator row.
     lf = _lf_table(symbols)
-    seqs: list[bytes] = []
-    recovered = 0
-    for row in range(k):
-        out = bytearray()
-        r = row
-        steps = 0
-        while symbols[r] != SEP_BYTE:
-            out.append(symbols[r])
-            r = lf[r]
-            steps += 1
-            if steps > n:
-                raise TransformError("malformed transform: LF walk does not close")
-        if not out:
-            raise TransformError("malformed transform: empty sequence recovered")
-        out.reverse()
-        seqs.append(bytes(out))
-        recovered += len(out)
-    if recovered + k != n:
+    seen = bytearray(symbols.translate(_SEPARATOR_ROWS))
+    seqs = [_lf_walk(symbols, lf, row, seen) for row in range(k)]
+    if not all(seqs):
+        raise TransformError("malformed transform: empty sequence recovered")
+    if sum(map(len, seqs)) + k != len(symbols):
         raise TransformError("malformed transform: symbols left over after inversion")
     return from_seqs(seqs)
 
 
-def _count_lf_cycles(symbols: bytes) -> int:
+def _lf_cycles(symbols: bytes) -> list[bytes]:
+    """The word of every cycle of the LF mapping, each read from the
+    cycle's smallest row."""
     lf = _lf_table(symbols)
     seen = bytearray(len(symbols))
-    cycles = 0
-    for s in range(len(symbols)):
-        if seen[s]:
-            continue
-        cycles += 1
-        r = s
-        while not seen[r]:
-            seen[r] = 1
-            r = lf[r]
-    return cycles
+    return [
+        _lf_walk(symbols, lf, row, seen) for row in range(len(symbols)) if not seen[row]
+    ]
 
 
 def least_rotation(s: bytes) -> bytes:
@@ -427,27 +427,13 @@ def least_rotation(s: bytes) -> bytes:
 
 def invert_ebwt(t: Transform) -> list[bytes]:
     """Decompose the LF permutation into cycles; every cycle spells one
-    primitive string. Each is emitted as its least rotation and the list
-    is sorted, so inputs are recovered up to rotation, with non-primitive
-    inputs collapsing to copies of their root."""
+    primitive string. A cycle's rows are the rotations of its word in
+    omega order, so the walk from its smallest row spells the least
+    rotation. The list is sorted, so inputs are recovered up to rotation,
+    with non-primitive inputs collapsing to copies of their root."""
     if t.variant not in (Variant.EBWT, Variant.SINGLE_BWT):
         raise TransformError("invert_ebwt applies to ebwt / single_bwt transforms")
     symbols = t.symbols
     if SEP_BYTE in symbols or TERM_BYTE in symbols:
         raise TransformError("ebwt transform must not contain sentinels")
-    lf = _lf_table(symbols)
-    seen = bytearray(len(symbols))
-    words: list[bytes] = []
-    for s in range(len(symbols)):
-        if seen[s]:
-            continue
-        chars = bytearray()
-        r = s
-        while not seen[r]:
-            seen[r] = 1
-            chars.append(symbols[r])
-            r = lf[r]
-        chars.reverse()
-        words.append(least_rotation(bytes(chars)))
-    words.sort()
-    return words
+    return sorted(_lf_cycles(symbols))

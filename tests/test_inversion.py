@@ -1,6 +1,7 @@
 """Round-trip recovery of collections from their transforms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bwtvariants import (
     TransformError,
@@ -15,6 +16,7 @@ from bwtvariants import (
     from_text,
     invert_ebwt,
     invert_separator_based,
+    least_rotation,
     lex_order,
     mdol_bwt,
     normalize_conc,
@@ -130,6 +132,21 @@ def test_invert_ebwt_reencodes_to_same_transform(corpus):
         assert words == sorted(words)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text("AB", min_size=1), st.text("ACGT", min_size=1)))
+def test_every_string_inverts_as_an_ebwt(s):
+    # Gessel-Reutenauer: every string is the ebwt of one multiset of
+    # primitive necklaces, read off its LF cycles
+    t = from_text(s, Variant.EBWT)
+    words = invert_ebwt(t)
+    assert words == sorted(words)
+    assert len(words) == t.source_k
+    for w in words:
+        assert primitive_root(w).exponent == 1
+        assert w == least_rotation(w)
+    assert to_text(ebwt(from_seqs(words))) == s
+
+
 def test_invert_ebwt_collapses_powers():
     got = invert_ebwt(ebwt(from_seqs([b"ABAB"])))
     assert got == [b"AB", b"AB"]
@@ -148,6 +165,9 @@ def test_invert_malformed_text():
         invert_separator_based(from_text("$AB$", Variant.MDOL_BWT))
     with pytest.raises(TransformError):
         invert_ebwt(from_text("A$", Variant.MDOL_BWT))
+    # the walk from the one separator row closes after one symbol
+    with pytest.raises(TransformError, match="left over"):
+        invert_separator_based(from_text("A$A", Variant.MDOL_BWT))
 
 
 def test_inversion_roundtrip_via_text(toy):

@@ -67,6 +67,32 @@ def test_count_runs_on_plain_text():
     assert count_runs("nnbaaa").r == 3
     assert count_runs(b"AAACCC").r == 2
     assert count_runs("A").r == 1
+    with pytest.raises(ValidationError, match="latin-1"):
+        count_runs("A\u0100")
+    with pytest.raises(ValidationError, match="empty"):
+        count_runs(b"")
+
+
+def naive_rle(text):
+    """Run-length pairs by a per-character loop."""
+    rle = []
+    for ch in text:
+        if rle and rle[-1][0] == ch:
+            rle[-1][1] += 1
+        else:
+            rle.append([ch, 1])
+    return tuple(map(tuple, rle))
+
+
+def test_count_runs_matches_a_per_character_loop(corpus):
+    texts = ["A", "AB", "AAAA", "\x00\x01\xff\xff", "\xe9\xe9e"]
+    for c in corpus[:60]:
+        texts += [to_text(build(v, c)) for v in Variant if v is not Variant.SINGLE_BWT]
+    for text in texts:
+        want = naive_rle(text)
+        for given in (text, text.encode("latin-1")):
+            stats = count_runs(given)
+            assert (stats.r, stats.n, stats.rle) == (len(want), len(text), want)
 
 
 def test_rle_roundtrip(corpus):

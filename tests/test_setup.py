@@ -1,5 +1,5 @@
-"""``setup.py`` builds the native kernels from the shipped C source when
-Cython is missing."""
+"""``setup.py`` builds the native kernels from the shipped C source, so
+the build needs no Cython."""
 
 import importlib.util
 import os
