@@ -4,13 +4,10 @@ pure-Python kernels at import time. The module is compiled from the
 shipped ``_native.c``, generated from ``_native.pyx``, so no Cython is
 needed."""
 
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("BWTVARIANTS_NO_EXT"):
-    ext_modules = [
+setup(
+    ext_modules=[
         Extension(
             "bwtvariants._native",
             ["src/bwtvariants/_native.c"],
@@ -18,5 +15,4 @@ if not os.environ.get("BWTVARIANTS_NO_EXT"):
             optional=True,
         )
     ]
-
-setup(ext_modules=ext_modules)
+)

@@ -38,11 +38,6 @@ from .transforms import (
     to_text,
 )
 
-_VARIANT_NAMES = [v.value for v in Variant] + [
-    "dol", "mdol", "conc", "colex", "single", "bwt",
-]
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the CLI contract reserves 2 for
     # input errors and uses 1 for usage
@@ -105,7 +100,7 @@ def _order_kind(text: str) -> str:
 
 def cmd_transform(args) -> int:
     c = _load_collection(args)
-    v = Variant.from_name(args.variant)
+    v = args.variant
     t = build(v, c)
     if args.oracle:
         _, ref = naive_rotation_sort(v, c)
@@ -115,9 +110,9 @@ def cmd_transform(args) -> int:
     if v is Variant.CONC_BWT and not args.raw:
         t = normalize_conc(t)
     if args.rle:
-        payload = rle_text(count_runs(t)).encode()
+        payload = rle_text(count_runs(t)).encode("latin-1")
     else:
-        payload = (to_text(t) + "\n").encode()
+        payload = (to_text(t) + "\n").encode("latin-1")
     _write_output(args.out, payload)
     return 0
 
@@ -157,7 +152,9 @@ def cmd_optimal(args) -> int:
         f"rOpt\t{res.r_opt}",
     ]
     for v in COLLECTION_VARIANTS:
-        lines.append(f"{v.value}\t{count_runs(build_normalized(v, c)).r}")
+        # the scan the order was planned on already gave dol_ebwt
+        t = res.intervals.template if v is Variant.DOL_EBWT else build_normalized(v, c)
+        lines.append(f"{v.value}\t{count_runs(t).r}")
     _write_output(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 
@@ -171,10 +168,18 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    raw = _read_input(args.input)
-    text = raw.decode("latin-1").strip()
-    v = Variant.from_name(args.variant)
+    text = _read_input(args.input).decode("latin-1")
+    # drop only the line ending that transform appends: whitespace
+    # bytes are symbols
+    if text.endswith("\n"):
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    if "\n" in text:
+        # no input sequence holds a line break
+        raise BwtError("transform text must be a single line")
+    v = args.variant
     t = from_text(text, v)
+    if v is Variant.CONC_BWT and not t.normalized:
+        t = normalize_conc(t)
     if v in (Variant.EBWT, Variant.SINGLE_BWT):
         c = from_seqs(invert_ebwt(t))
     else:
@@ -227,7 +232,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("transform", parents=[], help="build one transform")
     _add_io_flags(p)
-    p.add_argument("--variant", choices=_VARIANT_NAMES, required=True)
+    p.add_argument("--variant", type=Variant.from_name, required=True)
     p.add_argument("--raw", action="store_true", help="skip concatenation-variant normalization")
     p.add_argument("--rle", action="store_true", help="emit run-length encoding")
     p.add_argument("--oracle", action="store_true", help="cross-check against the naive rotation sort")
@@ -261,7 +266,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("invert", help="invert a transform back to strings")
     p.add_argument("input", help="transform text path, or - for stdin")
-    p.add_argument("--variant", choices=_VARIANT_NAMES, required=True)
+    p.add_argument("--variant", type=Variant.from_name, required=True)
     p.add_argument("--format", choices=("fasta", "lines"), default="fasta")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_invert)

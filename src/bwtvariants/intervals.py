@@ -15,7 +15,7 @@ import re
 import warnings
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lt, sub
 
@@ -52,7 +52,20 @@ class IntervalReport:
     count_intervals: int
     total_interval_length: int
     fraction_positions: Fraction
-    variability: Fraction
+    # dol_ebwt, read off the same rotation scan: the template every
+    # separator-based variant shares outside the intervals
+    template: Transform = field(repr=False, compare=False)
+
+    @property
+    def variability(self) -> Fraction:
+        if not self.intervals:
+            warnings.warn(
+                "collection has no interesting intervals; variability is 0 by convention",
+                stacklevel=2,
+            )
+            return Fraction(0)
+        runs = sum(max_runs_bound(iv.parikh) for iv in self.intervals)
+        return Fraction(runs, self.total_interval_length)
 
     def fraction_text(self) -> str:
         return fmt(self.fraction_positions, 3)
@@ -103,8 +116,9 @@ def _rotation_scan(seqs: list[bytes]):
     return sa, ulen, owner, lsym, mask
 
 
-def _interval_scan(c: Collection) -> tuple[IntervalReport, Transform]:
-    """The interval report and dol_ebwt, both read off one rotation scan."""
+def interesting_intervals(c: Collection) -> IntervalReport:
+    """The interesting intervals and dol_ebwt, read off one rotation scan."""
+    c.require_valid()
     seqs = c.seqs()
     sa, ulen, owner, lsym, mask = _rotation_scan(seqs)
     n = len(sa)
@@ -131,28 +145,13 @@ def _interval_scan(c: Collection) -> tuple[IntervalReport, Transform]:
             )
         )
     total = sum(iv.length for iv in intervals)
-    fraction = Fraction(total, n) if n else Fraction(0)
-    if intervals:
-        var = Fraction(sum(max_runs_bound(iv.parikh) for iv in intervals), total)
-    else:
-        warnings.warn(
-            "collection has no interesting intervals; variability is 0 by convention",
-            stacklevel=3,
-        )
-        var = Fraction(0)
-    report = IntervalReport(
+    return IntervalReport(
         intervals=tuple(intervals),
         count_intervals=len(intervals),
         total_interval_length=total,
-        fraction_positions=fraction,
-        variability=var,
+        fraction_positions=Fraction(total, n) if n else Fraction(0),
+        template=Transform(Variant.DOL_EBWT, lsym, c.k, c.total_length),
     )
-    return report, Transform(Variant.DOL_EBWT, lsym, c.k, c.total_length)
-
-
-def interesting_intervals(c: Collection) -> IntervalReport:
-    c.require_valid()
-    return _interval_scan(c)[0]
 
 
 def max_runs_bound(parikh: dict) -> int:

@@ -10,9 +10,9 @@ from ._fmt import fmt, half_up_int
 from .collection import Collection, from_seqs
 from .distances import DistanceMatrix, distance_matrix
 from .errors import ValidationError
-from .intervals import IntervalReport, _interval_scan
+from .intervals import IntervalReport
 from .permutations import PermutationProfile, profile
-from .runs import OptimalOrderResult, _optimal_order, count_runs
+from .runs import OptimalOrderResult, count_runs, optimal_order
 from .transforms import COLLECTION_VARIANTS, Variant, build_normalized
 
 
@@ -79,15 +79,18 @@ def analyze(
     edit distances including the sentinel-free transform."""
     c.require_valid()
     lengths = [len(s) for s in c.seqs()]
+    # the other builds come first: they peak lower without the optimal
+    # order's scan held alongside
+    transforms = {
+        v: build_normalized(v, c)
+        for v in COLLECTION_VARIANTS
+        if v is not Variant.DOL_EBWT
+    }
     # one rotation scan gives the intervals, dol_ebwt and the template
     # of the optimal order
-    ireport, dol = _interval_scan(c)
-    transforms = {
-        v: dol if v is Variant.DOL_EBWT else build_normalized(v, c)
-        for v in COLLECTION_VARIANTS
-    }
-
-    opt = _optimal_order(c, ireport, dol)
+    opt = optimal_order(c)
+    ireport = opt.intervals
+    transforms[Variant.DOL_EBWT] = ireport.template
     runs_table: dict[str, dict] = {}
     for v in COLLECTION_VARIANTS:
         stats = count_runs(transforms[v])

@@ -19,7 +19,6 @@ compares k keys.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -30,7 +29,7 @@ from operator import attrgetter
 from ._fmt import fmt
 from .collection import SEP_BYTE, Collection
 from .errors import ValidationError
-from .intervals import SEP_SYMBOL, IntervalReport, _interval_scan
+from .intervals import SEP_SYMBOL, IntervalReport, interesting_intervals
 from .permutations import Perm
 from .transforms import Transform, Variant, colex_bwt, from_text, mdol_bwt, to_text
 
@@ -117,6 +116,7 @@ class OptimalOrderResult:
     permutation: Perm
     r_opt: int
     arrangements: tuple[tuple[int, int, str], ...]  # (b, e, symbol sequence)
+    intervals: IntervalReport = field(repr=False, compare=False)  # the scan planned on
 
 
 def _solve_chain(chain, left, right):
@@ -186,33 +186,19 @@ def _realize(k: int, intervals, chosen: dict[int, str], symbols: bytes) -> Perm:
 
 def optimal_order(c: Collection) -> OptimalOrderResult:
     """Input order minimizing runs of the multidollar transform, with the
-    minimum itself and the chosen per-interval arrangements. The result
-    is re-checked against an actual build of the reordered transform."""
-    c.require_valid()
-    return _optimal_order(c, *_quiet_scan(c))
+    minimum itself and the chosen per-interval arrangements.
 
-
-def _quiet_scan(c: Collection) -> tuple[IntervalReport, Transform]:
-    with warnings.catch_warnings():
-        # the zero-variability convention is irrelevant here
-        warnings.simplefilter("ignore")
-        return _interval_scan(c)
-
-
-def _optimal_order(
-    c: Collection, report: IntervalReport, dol: Transform
-) -> OptimalOrderResult:
-    """``optimal_order`` from an interval scan's report and dol_ebwt,
-    which is the template every order shares outside the intervals.
-
-    The transitions between template rows outside the intervals are
+    The interval scan's dol_ebwt is the template every order shares
+    outside the intervals; the transitions between its rows there are
     counted over whole buffers, one byte per row. Each chain of
     rank-adjacent intervals then gets its arrangements from
     ``_solve_chain``, ``_realize`` turns them into an input order, and
     a build of the reordered mdol_bwt must reach the planned count."""
+    report = interesting_intervals(c)
+    dol = report.template
     if not report.intervals:
         # all orders give the same transform
-        return OptimalOrderResult(Perm.identity(c.k), count_runs(dol).r, ())
+        return OptimalOrderResult(Perm.identity(c.k), count_runs(dol).r, (), report)
     template = to_text(dol)
     symbols = dol.symbols
     n = len(symbols)
@@ -253,6 +239,7 @@ def _optimal_order(
         perm,
         r_opt,
         tuple((iv.b, iv.e, chosen[iv.b]) for iv in intervals),
+        report,
     )
 
 
@@ -260,7 +247,6 @@ def colex_gap(c: Collection) -> tuple[int, int, int, bool]:
     """(runs of colex transform, r_opt, interval count, bound holds):
     colex can exceed the optimum by at most two runs per interval."""
     runs_colex = count_runs(colex_bwt(c)).r
-    report, dol = _quiet_scan(c)
-    opt = _optimal_order(c, report, dol)
-    c_m = report.count_intervals
+    opt = optimal_order(c)
+    c_m = opt.intervals.count_intervals
     return runs_colex, opt.r_opt, c_m, runs_colex <= opt.r_opt + 2 * c_m

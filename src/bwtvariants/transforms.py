@@ -109,10 +109,12 @@ def to_text(t: Transform) -> str:
 
 def from_text(text: str, variant: Variant) -> Transform:
     """Parse the display form ('$' separator, '#' terminator) back into a
-    Transform, inferring k and the normalization state from the content."""
-    raw = text.strip().encode("latin-1")
-    symbols = raw.replace(b"$", SEP_BYTE.to_bytes(1, "big")).replace(
-        b"#", TERM_BYTE.to_bytes(1, "big")
+    Transform, inferring k and the normalization state from the content.
+    Every character is a symbol, whitespace included."""
+    symbols = (
+        text.encode("latin-1")
+        .replace(b"$", SEP_BYTE.to_bytes(1, "big"))
+        .replace(b"#", TERM_BYTE.to_bytes(1, "big"))
     )
     if not symbols:
         raise TransformError("empty transform text")

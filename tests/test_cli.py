@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from bwtvariants import Variant, least_rotation
 from bwtvariants.cli import main
 
 TOY_FASTA = b">s1\nATATG\n>s2\nTGA\n>s3\nACG\n>s4\nATCA\n>s5\nGGA\n"
@@ -150,17 +151,22 @@ def test_invert_ebwt_cli(tmp_path):
 
 def test_invert_conc_order(toy_fa, tmp_path):
     t_out = tmp_path / "t.txt"
-    run(["transform", toy_fa, "--variant", "conc"], t_out)
-    code, data = run(["invert", str(t_out), "--variant", "conc", "--format", "lines"],
-                     tmp_path / "inv")
-    assert code == 0
-    assert data == b"GGA\nTGA\nACG\nATCA\nATATG\n"
+    for raw in ([], ["--raw"]):
+        run(["transform", toy_fa, "--variant", "conc"] + raw, t_out)
+        code, data = run(["invert", str(t_out), "--variant", "conc", "--format", "lines"],
+                         tmp_path / "inv")
+        assert code == 0, raw
+        assert data == b"GGA\nTGA\nACG\nATCA\nATATG\n"
 
 
 def test_invert_garbage_exits_2(tmp_path, capsysbinary):
     p = tmp_path / "t.txt"
     p.write_bytes(b"$AB$\n")
     assert main(["invert", str(p), "--variant", "mdol"]) == 2
+    # a blank line after the transform is not read as symbols
+    for variant, text in (("mdol", b"GAGAAGCG$$$TTATCTG$AAA$"), ("ebwt", b"CGGGATGTACGTTAAAAA")):
+        p.write_bytes(text + b"\n\n")
+        assert main(["invert", str(p), "--variant", variant]) == 2
     capsysbinary.readouterr()
 
 
@@ -267,3 +273,50 @@ def test_synth_bad_length_exits_1(capsysbinary):
 def test_synth_bad_rate_exits_2(capsysbinary):
     assert main(["synth", "--seed", "1", "--k", "2", "--mutation-rate", "2.0"]) == 2
     capsysbinary.readouterr()
+
+
+SPACED = [b" A", b"C\t", b"\xa0G", b"T \xa0", b"\tAC ", b"GA\t\xa0", b"A"]
+
+
+@pytest.mark.parametrize("variant", ["ebwt", "dol_ebwt", "mdol_bwt", "conc_bwt", "colex_bwt"])
+def test_invert_keeps_whitespace_symbols(variant, tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"\n".join(SPACED) + b"\n")
+    t_out = tmp_path / "t.txt"
+    code, text = run(["transform", str(src), "--format", "lines", "--variant", variant], t_out)
+    assert code == 0
+    # one byte per symbol plus the line ending
+    assert len(text) == sum(map(len, SPACED)) + (variant != "ebwt") * len(SPACED) + 1
+    code, data = run(["invert", str(t_out), "--variant", variant, "--format", "lines"],
+                     tmp_path / "inv")
+    assert code == 0
+    got = data.split(b"\n")[:-1]
+    # ebwt keeps each string up to rotation
+    want = [least_rotation(s) for s in SPACED] if variant == "ebwt" else SPACED
+    assert sorted(got) == sorted(want)
+    if variant == "mdol_bwt":
+        assert got == SPACED
+    # a CRLF line ending is dropped too
+    t_out.write_bytes(text[:-1] + b"\r\n")
+    assert run(["invert", str(t_out), "--variant", variant, "--format", "lines"],
+               tmp_path / "inv")[1] == data
+
+
+def test_every_variant_alias_is_accepted(tmp_path):
+    from bwtvariants.transforms import _VARIANT_NAMES
+
+    one = tmp_path / "one.txt"
+    one.write_bytes(b"ATATG\n")
+    names = [*_VARIANT_NAMES, "MDOL", "dol-ebwt", "Colex_BWT"]
+    for name in names:
+        canonical = Variant.from_name(name).value
+        t_out, want_t = tmp_path / f"{name}.t", tmp_path / f"{canonical}.want.t"
+        for path, v in ((want_t, canonical), (t_out, name)):
+            assert main(["transform", str(one), "--format", "lines", "--variant", v,
+                         "--out", str(path)]) == 0
+        assert t_out.read_bytes() == want_t.read_bytes(), name
+        code, data = run(["invert", str(t_out), "--variant", name, "--format", "lines"],
+                         tmp_path / "inv")
+        assert (code, data) == (0, b"ATATG\n"), name
+    for command in (["transform", str(one)], ["invert", str(one)]):
+        assert main(command + ["--variant", "nope"]) == 1

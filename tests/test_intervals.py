@@ -144,13 +144,19 @@ def test_max_runs_bound_is_exact():
 
 
 def test_variability_zero_warns():
+    from bwtvariants import analyze, colex_gap, optimal_order
+
     c = from_seqs([b"ACG"])
     with pytest.warns(UserWarning, match="variability is 0"):
         assert variability(c) == 0
-    rep = None
+    with pytest.warns(UserWarning, match="variability is 0"):
+        assert analyze(c).dataset["variability"] == "0.000"
+    # only reading the variability warns
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         rep = interesting_intervals(c)
+        assert optimal_order(c).intervals == rep
+        assert colex_gap(c)[2] == 0
     assert rep.count_intervals == 0
     assert rep.fraction_positions == 0
     assert rep.fraction_text() == "0.000"

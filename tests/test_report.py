@@ -2,10 +2,19 @@
 
 import json
 import pathlib
+import sys
+from collections import Counter
 
 import pytest
 
-from bwtvariants import ValidationError, analyze, from_seqs
+from bwtvariants import (
+    ValidationError,
+    analyze,
+    dol_ebwt,
+    from_seqs,
+    interesting_intervals,
+    optimal_order,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -129,3 +138,55 @@ def test_tsv_sections(toy):
     assert sum(1 for ln in lines if ln.startswith("hamming\t")) == 1
     assert sum(1 for ln in lines if ln.startswith("edit\t")) == 1
     assert text.endswith("\n")
+
+
+KERNELS = ("suffix_array", "conjugate_sort", "shared_suffix_mask", "hamming", "edit_distance")
+
+
+def _counting(monkeypatch, impl, counts):
+    """Point every bwtvariants module global at ``impl``'s kernels and
+    wrap the kernels and both analyses with call counters."""
+    from bwtvariants import intervals, kernels, runs
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = {name: getattr(kernels, name) for name in KERNELS}
+    originals["interesting_intervals"] = intervals.interesting_intervals
+    originals["optimal_order"] = runs.optimal_order
+    wrappers = {name: counted(name, getattr(impl, name, fn)) for name, fn in originals.items()}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("bwtvariants") and not mod_name.endswith(("_fallback", "_native")):
+            for name, fn in originals.items():
+                # distances.hamming is a public function of the same name
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, wrappers[name])
+
+
+def test_analyze_reaches_intervals_and_optimal_order_once(toy, native, monkeypatch):
+    from bwtvariants import _fallback
+
+    golden = (DATA / "toy_report.json").read_text()
+    for impl in (_fallback, native):
+        counts = Counter()
+        with monkeypatch.context() as m:
+            _counting(m, impl, counts)
+            assert analyze(toy).to_json() == golden
+        assert counts["interesting_intervals"] == 1, impl.BACKEND
+        assert counts["optimal_order"] == 1, impl.BACKEND
+        assert counts["suffix_array"] == 8, impl.BACKEND
+
+
+def test_scan_results_travel_in_the_reports(toy):
+    rep = interesting_intervals(toy)
+    assert rep.template == dol_ebwt(toy)
+    opt = optimal_order(toy)
+    assert opt.intervals == rep
+    assert opt.intervals.template == dol_ebwt(toy)
+    # both are left out of repr and equality
+    assert "template" not in repr(rep) and "intervals=" not in repr(opt)
+
