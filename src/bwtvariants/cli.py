@@ -98,6 +98,13 @@ def _order_kind(text: str) -> str:
     return text
 
 
+def _variant_kind(text: str) -> Variant:
+    try:
+        return Variant.from_name(text)
+    except BwtError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def cmd_transform(args) -> int:
     c = _load_collection(args)
     v = args.variant
@@ -232,7 +239,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("transform", parents=[], help="build one transform")
     _add_io_flags(p)
-    p.add_argument("--variant", type=Variant.from_name, required=True)
+    p.add_argument("--variant", type=_variant_kind, required=True)
     p.add_argument("--raw", action="store_true", help="skip concatenation-variant normalization")
     p.add_argument("--rle", action="store_true", help="emit run-length encoding")
     p.add_argument("--oracle", action="store_true", help="cross-check against the naive rotation sort")
@@ -266,7 +273,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("invert", help="invert a transform back to strings")
     p.add_argument("input", help="transform text path, or - for stdin")
-    p.add_argument("--variant", type=Variant.from_name, required=True)
+    p.add_argument("--variant", type=_variant_kind, required=True)
     p.add_argument("--format", choices=("fasta", "lines"), default="fasta")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_invert)

@@ -4,8 +4,8 @@ An interesting interval is the rank range [b, e] of rotations that begin
 with U followed by a separator, where U is a suffix of at least two input
 strings and the symbols preceding those occurrences are not all equal.
 When U is an entire string, its preceding symbol is the separator itself
-(the '$' pseudo-symbol below). Coordinates are taken in the rotation
-order of {T_i $}, which all separator-based variants share outside the
+(shown as '$'). Coordinates are taken in the rotation order of
+{T_i $}, which all separator-based variants share outside the
 intervals, so [b, e] is variant-independent.
 """
 
@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import re
 import warnings
-from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import lt, sub
+from itertools import accumulate, pairwise, repeat, starmap
+from operator import add, lt, sub
 
 from ._fmt import fmt
-from .collection import SEP_BYTE, Collection
+from .collection import Collection
 from .errors import ValidationError
 from .ordering import lex_order
-from .transforms import Transform, Variant, _separator_sa, _separator_sort
-
-SEP_SYMBOL = "$"
+from .transforms import DISPLAY, Transform, Variant, _separator_sa, _separator_sort
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class InterestingInterval:
 
 @dataclass(frozen=True)
 class IntervalReport:
-    intervals: tuple[InterestingInterval, ...]
+    intervals: tuple[InterestingInterval, ...]  # in row order
     count_intervals: int
     total_interval_length: int
     fraction_positions: Fraction
@@ -85,11 +84,12 @@ class IntervalReport:
 def _rotation_scan(seqs: list[bytes]):
     """Rotation order of {T_i $}: the separator sort of the strings laid
     out in lex order, separator slot r ranked r. Returns
-    (sa, ulen, owner, lsym, mask) over flat positions of that text; ulen
-    is the length of the string suffix each rotation starts with, owner
-    its 1-based input index, lsym the last column (the symbols of
-    dol_ebwt) and mask[r] == 1 iff rows r and r+1 start with the same
-    string suffix.
+    (lex, ends, sa, lsym, mask): lex is the lex order of the inputs,
+    ends[j] the flat position of the separator after slot j, lsym the
+    last column (the symbols of dol_ebwt) and mask[r] == 1 iff rows r
+    and r+1 start with the same string suffix. A row starting at p
+    belongs to the first slot j with ends[j] >= p and starts with that
+    string's last ends[j] - p symbols.
 
     The mask comes from a second sort with every separator rank
     reversed (slot r ranked k+1-r). The two sorts order rows alike except
@@ -103,24 +103,19 @@ def _rotation_scan(seqs: list[bytes]):
     laid = [seqs[i] for i in lex]
     k = len(laid)
     sa, lsym = _separator_sort(laid, range(1, k + 1))
-    w = array("i", map(sub, sa, _separator_sa(laid, range(k, 0, -1))))
-    mask = bytes(map(lt, w, w[1:]))
-    longest = max(map(len, laid))
-    countdown = array("i", range(longest, -1, -1))
-    ulen = array("i")
-    owner = array("i")
-    for i, s in zip(lex, laid):
-        m = len(s)
-        ulen.extend(countdown[longest - m:])
-        owner.extend(array("i", [i + 1]) * (m + 1))
-    return sa, ulen, owner, lsym, mask
+    w = map(sub, sa, _separator_sa(laid, range(k, 0, -1)))
+    mask = bytes(starmap(lt, pairwise(w)))
+    ends = list(accumulate((len(s) + 1 for s in laid), initial=-1))[1:]
+    return lex, ends, sa, lsym, mask
 
 
 def interesting_intervals(c: Collection) -> IntervalReport:
     """The interesting intervals and dol_ebwt, read off one rotation scan."""
     c.require_valid()
     seqs = c.seqs()
-    sa, ulen, owner, lsym, mask = _rotation_scan(seqs)
+    lex, ends, sa, lsym, mask = _rotation_scan(seqs)
+    # separator position -> 1-based input index of the string before it
+    owner = dict(zip(ends, (i + 1 for i in lex)))
     n = len(sa)
     intervals: list[InterestingInterval] = []
     # a run of marks at [b, e) joins rows b..e into one block
@@ -129,19 +124,18 @@ def interesting_intervals(c: Collection) -> IntervalReport:
         rows = lsym[b : e + 1]
         if len(set(rows)) < 2:
             continue
-        parikh = {
-            SEP_SYMBOL if sym == SEP_BYTE else chr(sym): count
-            for sym, count in Counter(rows).items()
-        }
         p = sa[b]
+        slot = bisect_left(ends, p)
+        u = ends[slot] - p
         intervals.append(
             InterestingInterval(
                 b=b + 1,
                 e=e + 1,
-                source=seqs[owner[p] - 1],
-                suffix_length=ulen[p],
-                parikh=parikh,
-                members=tuple(map(owner.__getitem__, sa[b : e + 1])),
+                source=seqs[lex[slot]],
+                suffix_length=u,
+                parikh=dict(Counter(rows.translate(DISPLAY).decode("latin-1"))),
+                # every member's suffix of length u ends at its separator
+                members=tuple(map(owner.__getitem__, map(add, sa[b : e + 1], repeat(u)))),
             )
         )
     total = sum(iv.length for iv in intervals)

@@ -27,11 +27,11 @@ from itertools import groupby
 from operator import attrgetter
 
 from ._fmt import fmt
-from .collection import SEP_BYTE, Collection
+from .collection import Collection
 from .errors import ValidationError
-from .intervals import SEP_SYMBOL, IntervalReport, interesting_intervals
+from .intervals import IntervalReport, interesting_intervals
 from .permutations import Perm
-from .transforms import Transform, Variant, colex_bwt, from_text, mdol_bwt, to_text
+from .transforms import DISPLAY, Transform, Variant, colex_bwt, from_text, mdol_bwt
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class RunStats:
 
 def _display_bytes(t) -> bytes:
     if isinstance(t, Transform):
-        return to_text(t).encode("latin-1")
+        return t.symbols.translate(DISPLAY)
     if isinstance(t, bytes):
         return t
     if isinstance(t, str):
@@ -157,13 +157,13 @@ def _expand_arrangement(parikh, first, last):
     return first * parikh[first] + middle + last * parikh[last]
 
 
-def _realize(k: int, intervals, chosen: dict[int, str], symbols: bytes) -> Perm:
+def _realize(k: int, intervals, chosen: dict[int, str], display: bytes) -> Perm:
     """One input order realizing every chosen interval arrangement.
 
     Each string gets a key of one byte per interval it belongs to, taken
     shallowest shared suffix first: the block of the arrangement that its
     preceding symbol falls in, read off the interval's rows of
-    ``symbols`` (the template's last column) with one table lookup. Two
+    ``display`` (the template's display bytes) with one table lookup. Two
     distinct strings have equal bytes on every interval shallower than
     their longest common suffix and differ on its interval, where their
     preceding symbols differ ('$' for a string that ends there); so
@@ -177,8 +177,8 @@ def _realize(k: int, intervals, chosen: dict[int, str], symbols: bytes) -> Perm:
         table = bytearray(256)
         # one block per distinct symbol, so an index fits in a byte
         for block, sym in enumerate(dict.fromkeys(chosen[iv.b])):
-            table[SEP_BYTE if sym == SEP_SYMBOL else ord(sym)] = block
-        blocks = symbols[iv.b - 1 : iv.e].translate(table)
+            table[ord(sym)] = block
+        blocks = display[iv.b - 1 : iv.e].translate(table)
         for m, block in zip(iv.members, blocks):
             keys[m].append(block)
     return Perm(tuple(sorted(range(1, k + 1), key=keys.__getitem__)))
@@ -199,10 +199,9 @@ def optimal_order(c: Collection) -> OptimalOrderResult:
     if not report.intervals:
         # all orders give the same transform
         return OptimalOrderResult(Perm.identity(c.k), count_runs(dol).r, (), report)
-    template = to_text(dol)
-    symbols = dol.symbols
-    n = len(symbols)
-    intervals = sorted(report.intervals, key=attrgetter("b"))
+    display = dol.symbols.translate(DISPLAY)
+    n = len(display)
+    intervals = report.intervals
     # outside holds one 0/1 byte per row and _changes one per pair of
     # adjacent rows, so their big-integer AND marks the transitions
     # between rows that both lie outside the intervals
@@ -212,7 +211,7 @@ def optimal_order(c: Collection) -> OptimalOrderResult:
     transitions = (
         int.from_bytes(outside[:-1], "big")
         & int.from_bytes(outside[1:], "big")
-        & int.from_bytes(_changes(symbols), "big")
+        & int.from_bytes(_changes(display), "big")
     ).bit_count()
     chains: list[list] = [[intervals[0]]]
     for iv in intervals[1:]:
@@ -222,14 +221,14 @@ def optimal_order(c: Collection) -> OptimalOrderResult:
             chains.append([iv])
     chosen: dict[int, str] = {}  # interval start -> arrangement
     for chain in chains:
-        left = template[chain[0].b - 2] if chain[0].b > 1 else None
-        right = template[chain[-1].e] if chain[-1].e < n else None
+        left = chr(display[chain[0].b - 2]) if chain[0].b > 1 else None
+        right = chr(display[chain[-1].e]) if chain[-1].e < n else None
         cost, picks = _solve_chain(chain, left, right)
         transitions += cost
         for iv, (f, l) in zip(chain, picks):
             chosen[iv.b] = _expand_arrangement(iv.parikh, f, l)
     r_opt = transitions + 1
-    perm = _realize(c.k, intervals, chosen, symbols)
+    perm = _realize(c.k, intervals, chosen, display)
     rebuilt = count_runs(mdol_bwt(c.reordered([v - 1 for v in perm.mapping]))).r
     if rebuilt != r_opt:
         raise RuntimeError(

@@ -20,17 +20,17 @@ single-string BWT:
 The four separator-based variants are one sort of the rotations of
 T_1 $ ... T_k $ that differs only in how the separators rank against
 each other (``_separator_sort``): by input index for mdol_bwt, by lex
-rank for dol_ebwt, by colex rank for colex_bwt and by the text that
-follows each separator for conc_bwt.
+rank for dol_ebwt, by colex rank for colex_bwt and all alike for
+conc_bwt, whose equal separators compare by the text after them.
 
 Internally separators are byte 0x01 and the terminator byte 0x00; the
-text form renders them '$' and '#'.
+text form renders them '$' and '#' through the table ``DISPLAY``.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
+import functools
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +38,7 @@ from typing import Sequence
 from .collection import SEP_BYTE, TERM_BYTE, Collection, from_seqs
 from .errors import GuardError, TransformError, ValidationError
 from .kernels import conjugate_sort, suffix_array
-from .ordering import colex_order, conc_order, lex_order, order_ranks
+from .ordering import colex_order, lex_order, order_ranks
 
 
 class Variant(enum.Enum):
@@ -59,7 +59,9 @@ class Variant(enum.Enum):
         try:
             return _VARIANT_NAMES[key]
         except KeyError:
-            raise ValidationError(f"unknown variant {name!r}") from None
+            raise ValidationError(
+                f"unknown variant {name!r}; choose from {', '.join(_VARIANT_NAMES)}"
+            ) from None
 
 
 _SEPARATOR_BASED = frozenset(
@@ -94,28 +96,25 @@ class Transform:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    @property
-    def text(self) -> str:
-        return to_text(self)
+
+# symbol byte -> display byte: the sentinels swap with '#' and '$', which
+# no sequence holds, so the table is its own inverse
+DISPLAY = bytes.maketrans(b"\x00\x01#$", b"#$\x00\x01")
 
 
 def to_text(t: Transform) -> str:
-    return (
-        t.symbols.replace(TERM_BYTE.to_bytes(1, "big"), b"#")
-        .replace(SEP_BYTE.to_bytes(1, "big"), b"$")
-        .decode("latin-1")
-    )
+    return t.symbols.translate(DISPLAY).decode("latin-1")
 
 
 def from_text(text: str, variant: Variant) -> Transform:
     """Parse the display form ('$' separator, '#' terminator) back into a
     Transform, inferring k and the normalization state from the content.
-    Every character is a symbol, whitespace included."""
-    symbols = (
-        text.encode("latin-1")
-        .replace(b"$", SEP_BYTE.to_bytes(1, "big"))
-        .replace(b"#", TERM_BYTE.to_bytes(1, "big"))
-    )
+    Every character is a symbol, whitespace included, but the raw
+    sentinel bytes 0x00 and 0x01 are refused."""
+    display = text.encode("latin-1")
+    if TERM_BYTE in display or SEP_BYTE in display:
+        raise TransformError("transform text holds a raw sentinel byte (0x00 or 0x01)")
+    symbols = display.translate(DISPLAY)
     if not symbols:
         raise TransformError("empty transform text")
     k = symbols.count(SEP_BYTE)
@@ -153,12 +152,12 @@ def _check_int32(size: int, what: str) -> None:
 
 def _separator_sa(seqs: list[bytes], ranks: Sequence[int]) -> array:
     """Suffix array of T_1 $ T_2 $ ... T_k $ where the separator after T_i
-    has the value ranks[i] (a permutation of 1..k). Letters are shifted
-    past the separators.
+    has the value ranks[i], a rank in 1..k; equal ranks compare by the
+    following text. Letters are shifted past the separators.
 
     The int text is written a byte plane at a time: byte j of every
-    letter value is one ``translate`` of the text, stored into byte j of
-    each int with one strided slice assignment.
+    letter value, in memory order, is one ``translate`` of the text,
+    stored into byte j of each int with one strided slice assignment.
     """
     k = len(seqs)
     # the kernel appends one sentinel to the N + k symbols
@@ -167,12 +166,12 @@ def _separator_sa(seqs: list[bytes], ranks: Sequence[int]) -> array:
     text = _separator_text(seqs)
     data = array("i", [0]) * len(text)
     width = data.itemsize
+    letters = array("i", range(shift, shift + 256)).tobytes()  # b + shift for each byte b
     with memoryview(data).cast("B") as planes:
         for j in range(width):
-            plane = bytes((b + shift) >> (8 * j) & 0xFF for b in range(256))
+            plane = letters[j::width]
             if any(plane):
-                at = j if sys.byteorder == "little" else width - 1 - j
-                planes[at::width] = text.translate(plane)
+                planes[j::width] = text.translate(plane)
     del text  # not held while the kernel runs
     end = -1
     for s, rank in zip(seqs, ranks):
@@ -182,15 +181,16 @@ def _separator_sa(seqs: list[bytes], ranks: Sequence[int]) -> array:
 
 
 def _separator_sort(seqs: list[bytes], ranks: Sequence[int]):
-    """Sorted rotations of T_1 $ T_2 $ ... T_k $, where the separator
-    after T_i has the value ranks[i] (a permutation of 1..k).
+    """Sorted suffixes of T_1 $ T_2 $ ... T_k $, where the separator
+    after T_i has the value ranks[i], a rank in 1..k; equal ranks compare
+    by the following text, which ends at the kernel's sentinel.
 
     Returns (sa, symbols): sa[r] is the flat position where row r's
-    rotation starts, symbols the last column with every separator written
+    suffix starts, symbols the last column with every separator written
     SEP_BYTE. Distinct separators decide every comparison before the text
     ends, so rotation order is suffix order, and the rows depend on the
-    order of ``seqs`` only through ``ranks``: each variant is this sort
-    with its own ranks.
+    order of ``seqs`` only through ``ranks``: each separator variant is
+    this sort with its own ranks.
     """
     sa = _separator_sa(seqs, ranks)
     text = _separator_text(seqs)
@@ -233,15 +233,13 @@ def conc_bwt(c: Collection, normalize: bool = False) -> Transform:
     """Transform of T_1·SEP·...·T_k·SEP·TERM. Raw by default: length
     N+k+1 with the terminator symbol still present.
 
-    With equal separators, rotations that tie up to a separator are
-    ordered by the text after it, which is what ``conc_order`` ranks, so
-    the normalized transform is the separator sort with those ranks. The
-    raw one adds the terminator's row in front (preceded by the last
-    separator) and puts the terminator at the row of position 0.
+    The separator sort with all ranks equal gives the rows other than
+    the terminator's: the normalized transform. The raw one adds the
+    terminator's row in front (preceded by the last separator) and puts
+    the terminator at the row of position 0.
     """
     c.require_valid()
-    seqs = c.seqs()
-    sa, symbols = _separator_sort(seqs, order_ranks(conc_order(seqs)))
+    sa, symbols = _separator_sort(c.seqs(), [1] * c.k)
     if normalize:
         return Transform(Variant.CONC_BWT, symbols, c.k, c.total_length)
     raw = bytearray(symbols)
@@ -393,14 +391,15 @@ def invert_separator_based(t: Transform) -> Collection:
     return from_seqs(seqs)
 
 
-def _lf_cycles(symbols: bytes) -> list[bytes]:
+@functools.lru_cache(maxsize=1)
+def _lf_cycles(symbols: bytes) -> tuple[bytes, ...]:
     """The word of every cycle of the LF mapping, each read from the
-    cycle's smallest row."""
+    cycle's smallest row, kept for ``invert_ebwt`` after ``from_text``."""
     lf = _lf_table(symbols)
     seen = bytearray(len(symbols))
-    return [
+    return tuple(
         _lf_walk(symbols, lf, row, seen) for row in range(len(symbols)) if not seen[row]
-    ]
+    )
 
 
 def least_rotation(s: bytes) -> bytes:

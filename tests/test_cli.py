@@ -92,6 +92,7 @@ def test_order_length_mismatch_is_input_error(toy_fa, tmp_path, capsysbinary):
 
 def test_usage_errors_exit_1(toy_fa, capsysbinary):
     assert main(["transform", toy_fa, "--variant", "nope"]) == 1
+    assert b"unknown variant 'nope'; choose from ebwt, dol_ebwt" in capsysbinary.readouterr().err
     assert main(["transform", toy_fa]) == 1
     assert main(["nonsense"]) == 1
     assert main([]) == 1
@@ -163,11 +164,33 @@ def test_invert_garbage_exits_2(tmp_path, capsysbinary):
     p = tmp_path / "t.txt"
     p.write_bytes(b"$AB$\n")
     assert main(["invert", str(p), "--variant", "mdol"]) == 2
+    # the sentinels' own bytes are never part of a transform text
+    for variant, text in (("mdol", b"GA$\x01C"), ("mdol", b"A\x01"), ("conc", b"A\x00$")):
+        p.write_bytes(text + b"\n")
+        capsysbinary.readouterr()
+        assert main(["invert", str(p), "--variant", variant]) == 2, text
+        assert b"raw sentinel byte" in capsysbinary.readouterr().err, text
     # a blank line after the transform is not read as symbols
     for variant, text in (("mdol", b"GAGAAGCG$$$TTATCTG$AAA$"), ("ebwt", b"CGGGATGTACGTTAAAAA")):
         p.write_bytes(text + b"\n\n")
         assert main(["invert", str(p), "--variant", variant]) == 2
     capsysbinary.readouterr()
+
+
+def test_ebwt_inversion_walks_lf_once(tmp_path, monkeypatch):
+    # from_text counts the cycles for k, and invert_ebwt reads the same ones
+    from bwtvariants import transforms
+
+    calls = []
+    lf_table = transforms._lf_table
+    monkeypatch.setattr(transforms, "_lf_table", lambda s: calls.append(s) or lf_table(s))
+    transforms._lf_cycles.cache_clear()
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"GTTCAGCA\n")
+    code, data = run(["invert", str(p), "--variant", "ebwt", "--format", "lines"],
+                     tmp_path / "inv")
+    assert (code, data) == (0, b"AG\nATCCT\nG\n")
+    assert len(calls) == 1
 
 
 def test_analyze_json(toy_fa, tmp_path):
@@ -302,7 +325,7 @@ def test_invert_keeps_whitespace_symbols(variant, tmp_path):
                tmp_path / "inv")[1] == data
 
 
-def test_every_variant_alias_is_accepted(tmp_path):
+def test_every_variant_alias_is_accepted(tmp_path, capsysbinary):
     from bwtvariants.transforms import _VARIANT_NAMES
 
     one = tmp_path / "one.txt"
@@ -319,4 +342,7 @@ def test_every_variant_alias_is_accepted(tmp_path):
                          tmp_path / "inv")
         assert (code, data) == (0, b"ATATG\n"), name
     for command in (["transform", str(one)], ["invert", str(one)]):
+        capsysbinary.readouterr()
         assert main(command + ["--variant", "nope"]) == 1
+        err = capsysbinary.readouterr().err
+        assert b"unknown variant 'nope'" in err and b"mdol_bwt" in err, err

@@ -2,6 +2,7 @@
 
 import sys
 import warnings
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -206,9 +207,12 @@ def test_two_sort_mask_equals_shared_suffix_mask(native, monkeypatch, shaped_cor
     assert min(shapes.values()) >= 50, shapes
 
     def check(seqs):
-        sa, ulen, _, _, mask = _rotation_scan(seqs)
-        # the scan's positions are in the text of the lex-ordered strings
-        text = transforms._separator_text([seqs[i] for i in lex_order(seqs)])
+        _, _, sa, _, mask = _rotation_scan(seqs)
+        # the scan's positions are in the text of the lex-ordered strings;
+        # ulen is the length of the string suffix each position starts
+        laid = [seqs[i] for i in lex_order(seqs)]
+        text = transforms._separator_text(laid)
+        ulen = array("i", (u for s in laid for u in range(len(s), -1, -1)))
         assert mask == _fallback.shared_suffix_mask(text, sa, ulen), seqs
         assert mask == native.shared_suffix_mask(text, sa, ulen), seqs
 

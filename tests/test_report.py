@@ -178,7 +178,7 @@ def test_analyze_reaches_intervals_and_optimal_order_once(toy, native, monkeypat
             assert analyze(toy).to_json() == golden
         assert counts["interesting_intervals"] == 1, impl.BACKEND
         assert counts["optimal_order"] == 1, impl.BACKEND
-        assert counts["suffix_array"] == 8, impl.BACKEND
+        assert counts["suffix_array"] == 7, impl.BACKEND
 
 
 def test_scan_results_travel_in_the_reports(toy):
