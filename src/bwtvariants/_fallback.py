@@ -7,7 +7,7 @@ selection logic. These are correct but slow on large inputs.
 from __future__ import annotations
 
 from array import array
-from itertools import permutations, repeat
+from itertools import accumulate, permutations, repeat
 from operator import add, mul
 
 BACKEND = "pure-python"
@@ -35,38 +35,25 @@ def _sais(s: list[int], sigma: int) -> list[int]:
     bucket = [0] * sigma
     for c in s:
         bucket[c] += 1
-
-    def bucket_tails() -> list[int]:
-        tails = [0] * sigma
-        acc = 0
-        for c in range(sigma):
-            acc += bucket[c]
-            tails[c] = acc - 1
-        return tails
-
-    def bucket_heads() -> list[int]:
-        heads = [0] * sigma
-        acc = 0
-        for c in range(sigma):
-            heads[c] = acc
-            acc += bucket[c]
-        return heads
+    # first and last slot of each symbol's bucket
+    first = list(accumulate(bucket, initial=0))
+    last = list(accumulate(bucket, initial=-1))[1:]
 
     def induce(lms_seq: list[int]) -> list[int]:
         sa = [-1] * n
-        tails = bucket_tails()
+        tails = last.copy()
         for i in reversed(lms_seq):
             c = s[i]
             sa[tails[c]] = i
             tails[c] -= 1
-        heads = bucket_heads()
+        heads = first.copy()
         for p in range(n):
             j = sa[p] - 1
             if sa[p] > 0 and not is_s[j]:
                 c = s[j]
                 sa[heads[c]] = j
                 heads[c] += 1
-        tails = bucket_tails()
+        tails = last.copy()
         for p in range(n - 1, -1, -1):
             j = sa[p] - 1
             if sa[p] > 0 and is_s[j]:
@@ -242,9 +229,12 @@ def feasible_image_size(k: int) -> int:
 # distances
 
 def hamming(a: bytes, b: bytes) -> int:
+    """Positions where ``a`` and ``b`` differ: the non-zero bytes of one
+    big-integer XOR of the two."""
     if len(a) != len(b):
         raise ValueError("hamming distance needs equal lengths")
-    return sum(x != y for x, y in zip(a, b))
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return len(a) - diff.to_bytes(len(a), "big").count(0)
 
 
 def edit_distance(a: bytes, b: bytes) -> int:

@@ -19,6 +19,7 @@ from .collection import (
     serialize_lines,
 )
 from .errors import BwtError
+from .intervals import derive_transform
 from .ordering import colex_order, lex_order
 from .permutations import Perm, enumerate_feasible
 from .report import analyze
@@ -31,6 +32,7 @@ from .transforms import (
     Variant,
     build,
     build_normalized,
+    ebwt,
     from_text,
     invert_ebwt,
     invert_separator_based,
@@ -159,8 +161,9 @@ def cmd_optimal(args) -> int:
         f"rOpt\t{res.r_opt}",
     ]
     for v in COLLECTION_VARIANTS:
-        # the scan the order was planned on already gave dol_ebwt
-        t = res.intervals.template if v is Variant.DOL_EBWT else build_normalized(v, c)
+        # the separator-based variants are read off the scan the order
+        # was planned on
+        t = ebwt(c) if v is Variant.EBWT else derive_transform(res.intervals, v, c)
         lines.append(f"{v.value}\t{count_runs(t).r}")
     _write_output(args.out, ("\n".join(lines) + "\n").encode())
     return 0

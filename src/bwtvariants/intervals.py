@@ -18,13 +18,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, pairwise, repeat, starmap
-from operator import add, lt, sub
+from operator import add, and_, lt, sub
 
 from ._fmt import fmt
 from .collection import Collection
 from .errors import ValidationError
 from .ordering import lex_order
-from .transforms import DISPLAY, Transform, Variant, _separator_sa, _separator_sort
+from .transforms import (
+    DISPLAY,
+    Transform,
+    Variant,
+    _separator_sa,
+    _separator_sort,
+    separator_ranks,
+)
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,34 @@ def interesting_intervals(c: Collection) -> IntervalReport:
         fraction_positions=Fraction(total, n) if n else Fraction(0),
         template=Transform(Variant.DOL_EBWT, lsym, c.k, c.total_length),
     )
+
+
+def derive_transform(report: IntervalReport, variant: Variant, c: Collection) -> Transform:
+    """``variant``'s transform of ``c`` (normalized for conc_bwt), read off
+    ``report``, the rotation scan of ``c``: the template with each
+    interval's rows sorted by their members' separator ranks.
+
+    Every separator sort orders the rows alike outside the blocks of
+    rows that share a string suffix; inside a block the rows agree up to
+    their separators, so the separator ranks alone order them. A block
+    that is no interval holds one symbol, so its order does not show,
+    and the template is dol_ebwt itself. A row's key is its member's rank
+    shifted past its symbol: one sort of ints per interval orders the
+    rows and carries their symbols along.
+    """
+    template = report.template
+    if (template.source_k, template.source_n) != (c.k, c.total_length):
+        raise ValidationError("interval report is not of this collection")
+    if variant is Variant.DOL_EBWT:
+        return template
+    # 1-based input index -> separator rank, shifted past a symbol byte
+    shifted = [0] + [r << 8 for r in separator_ranks(variant, c.seqs())]
+    symbols = bytearray(template.symbols)
+    for iv in report.intervals:
+        b, e = iv.b - 1, iv.e
+        keys = sorted(map(add, map(shifted.__getitem__, iv.members), symbols[b:e]))
+        symbols[b:e] = bytes(map(and_, keys, repeat(255)))
+    return Transform(variant, bytes(symbols), c.k, c.total_length)
 
 
 def max_runs_bound(parikh: dict) -> int:

@@ -10,10 +10,10 @@ from ._fmt import fmt, half_up_int
 from .collection import Collection, from_seqs
 from .distances import DistanceMatrix, distance_matrix
 from .errors import ValidationError
-from .intervals import IntervalReport
+from .intervals import IntervalReport, derive_transform
 from .permutations import PermutationProfile, profile
 from .runs import OptimalOrderResult, count_runs, optimal_order
-from .transforms import COLLECTION_VARIANTS, Variant, build_normalized
+from .transforms import COLLECTION_VARIANTS, Variant, build_normalized, ebwt
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,16 @@ def analyze(
     edit distances including the sentinel-free transform."""
     c.require_valid()
     lengths = [len(s) for s in c.seqs()]
-    # the other builds come first: they peak lower without the optimal
-    # order's scan held alongside
-    transforms = {
-        v: build_normalized(v, c)
-        for v in COLLECTION_VARIANTS
-        if v is not Variant.DOL_EBWT
-    }
-    # one rotation scan gives the intervals, dol_ebwt and the template
-    # of the optimal order
+    # ebwt comes first: it peaks lower without the scan held alongside
+    transforms = {Variant.EBWT: ebwt(c)}
+    # one rotation scan gives the intervals and the optimal order's
+    # template, dol_ebwt; the other separator-based variants are read
+    # off it
     opt = optimal_order(c)
     ireport = opt.intervals
-    transforms[Variant.DOL_EBWT] = ireport.template
+    for v in COLLECTION_VARIANTS:
+        if v.separator_based:
+            transforms[v] = derive_transform(ireport, v, c)
     runs_table: dict[str, dict] = {}
     for v in COLLECTION_VARIANTS:
         stats = count_runs(transforms[v])

@@ -29,9 +29,9 @@ from operator import attrgetter
 from ._fmt import fmt
 from .collection import Collection
 from .errors import ValidationError
-from .intervals import IntervalReport, interesting_intervals
+from .intervals import IntervalReport, derive_transform, interesting_intervals
 from .permutations import Perm
-from .transforms import DISPLAY, Transform, Variant, colex_bwt, from_text, mdol_bwt
+from .transforms import DISPLAY, Transform, Variant, from_text, mdol_bwt
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def optimal_order(c: Collection) -> OptimalOrderResult:
 def colex_gap(c: Collection) -> tuple[int, int, int, bool]:
     """(runs of colex transform, r_opt, interval count, bound holds):
     colex can exceed the optimum by at most two runs per interval."""
-    runs_colex = count_runs(colex_bwt(c)).r
     opt = optimal_order(c)
+    runs_colex = count_runs(derive_transform(opt.intervals, Variant.COLEX_BWT, c)).r
     c_m = opt.intervals.count_intervals
     return runs_colex, opt.r_opt, c_m, runs_colex <= opt.r_opt + 2 * c_m

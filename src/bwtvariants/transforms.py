@@ -19,9 +19,10 @@ single-string BWT:
 
 The four separator-based variants are one sort of the rotations of
 T_1 $ ... T_k $ that differs only in how the separators rank against
-each other (``_separator_sort``): by input index for mdol_bwt, by lex
-rank for dol_ebwt, by colex rank for colex_bwt and all alike for
-conc_bwt, whose equal separators compare by the text after them.
+each other (``separator_ranks``): by input index for mdol_bwt, by lex
+rank for dol_ebwt, by colex rank for colex_bwt and by ``conc_order``
+rank for conc_bwt, the order its equal separators take from the text
+after them.
 
 Internally separators are byte 0x01 and the terminator byte 0x00; the
 text form renders them '$' and '#' through the table ``DISPLAY``.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +40,7 @@ from typing import Sequence
 from .collection import SEP_BYTE, TERM_BYTE, Collection, from_seqs
 from .errors import GuardError, TransformError, ValidationError
 from .kernels import conjugate_sort, suffix_array
-from .ordering import colex_order, lex_order, order_ranks
+from .ordering import colex_order, conc_order, lex_order, order_ranks
 
 
 class Variant(enum.Enum):
@@ -204,9 +206,31 @@ def _separator_text(seqs: list[bytes]) -> bytes:
     return sep.join(seqs) + sep
 
 
-def mdol_bwt(c: Collection) -> Transform:
+def separator_ranks(variant: Variant, seqs: list[bytes]) -> Sequence[int]:
+    """The rank in 1..k of the separator after each of ``seqs`` in
+    ``variant``'s sort: input index for mdol_bwt, lex rank for dol_ebwt,
+    colex rank for colex_bwt and ``conc_order`` rank for conc_bwt."""
+    if variant is Variant.MDOL_BWT:
+        return range(1, len(seqs) + 1)
+    if variant is Variant.DOL_EBWT:
+        order = lex_order(seqs)
+    elif variant is Variant.COLEX_BWT:
+        order = colex_order(seqs)
+    elif variant is Variant.CONC_BWT:
+        order = conc_order(seqs)
+    else:
+        raise TransformError(f"{variant.value} is not separator-based")
+    return order_ranks(order)
+
+
+def _separator_build(variant: Variant, c: Collection):
     c.require_valid()
-    _, symbols = _separator_sort(c.seqs(), range(1, c.k + 1))
+    seqs = c.seqs()
+    return _separator_sort(seqs, separator_ranks(variant, seqs))
+
+
+def mdol_bwt(c: Collection) -> Transform:
+    _, symbols = _separator_build(Variant.MDOL_BWT, c)
     return Transform(Variant.MDOL_BWT, symbols, c.k, c.total_length)
 
 
@@ -216,16 +240,12 @@ def dol_ebwt(c: Collection) -> Transform:
     # suffix; the tie resolves by the following strings, i.e. by the
     # lexicographic order of the T_i. Separators ranked by lex rank
     # reproduce that resolution.
-    c.require_valid()
-    seqs = c.seqs()
-    _, symbols = _separator_sort(seqs, order_ranks(lex_order(seqs)))
+    _, symbols = _separator_build(Variant.DOL_EBWT, c)
     return Transform(Variant.DOL_EBWT, symbols, c.k, c.total_length)
 
 
 def colex_bwt(c: Collection) -> Transform:
-    c.require_valid()
-    seqs = c.seqs()
-    _, symbols = _separator_sort(seqs, order_ranks(colex_order(seqs)))
+    _, symbols = _separator_build(Variant.COLEX_BWT, c)
     return Transform(Variant.COLEX_BWT, symbols, c.k, c.total_length)
 
 
@@ -233,13 +253,12 @@ def conc_bwt(c: Collection, normalize: bool = False) -> Transform:
     """Transform of T_1·SEP·...·T_k·SEP·TERM. Raw by default: length
     N+k+1 with the terminator symbol still present.
 
-    The separator sort with all ranks equal gives the rows other than
-    the terminator's: the normalized transform. The raw one adds the
+    The separator sort with ``conc_order`` ranks gives the rows other
+    than the terminator's: the normalized transform. The raw one adds the
     terminator's row in front (preceded by the last separator) and puts
     the terminator at the row of position 0.
     """
-    c.require_valid()
-    sa, symbols = _separator_sort(c.seqs(), [1] * c.k)
+    sa, symbols = _separator_build(Variant.CONC_BWT, c)
     if normalize:
         return Transform(Variant.CONC_BWT, symbols, c.k, c.total_length)
     raw = bytearray(symbols)
@@ -327,20 +346,14 @@ def build_normalized(variant: Variant, c: Collection) -> Transform:
 
 
 def _lf_table(symbols: bytes) -> array:
+    """LF[r] = the row of the rotation that row r's last symbol starts:
+    the symbol's first row in sorted order plus its earlier occurrences,
+    read from one counter per symbol."""
     counts = [0] * 256
-    for b in symbols:
-        counts[b] += 1
-    first = [0] * 256
-    acc = 0
-    for v in range(256):
-        first[v] = acc
-        acc += counts[v]
-    lf = array("i", [0]) * len(symbols)
-    seen = [0] * 256
-    for r, b in enumerate(symbols):
-        lf[r] = first[b] + seen[b]
-        seen[b] += 1
-    return lf
+    for b in set(symbols):
+        counts[b] = symbols.count(b)
+    slots = list(map(itertools.count, itertools.accumulate(counts, initial=0)))
+    return array("i", map(next, map(slots.__getitem__, symbols)))
 
 
 def _lf_walk(symbols: bytes, lf: array, row: int, seen: bytearray) -> bytes:
@@ -397,9 +410,12 @@ def _lf_cycles(symbols: bytes) -> tuple[bytes, ...]:
     cycle's smallest row, kept for ``invert_ebwt`` after ``from_text``."""
     lf = _lf_table(symbols)
     seen = bytearray(len(symbols))
-    return tuple(
-        _lf_walk(symbols, lf, row, seen) for row in range(len(symbols)) if not seen[row]
-    )
+    cycles = []
+    row = seen.find(0)
+    while row >= 0:
+        cycles.append(_lf_walk(symbols, lf, row, seen))
+        row = seen.find(0, row)
+    return tuple(cycles)
 
 
 def least_rotation(s: bytes) -> bytes:

@@ -1,5 +1,6 @@
 """Interesting intervals and the variability statistic."""
 
+import random
 import sys
 import warnings
 from array import array
@@ -8,13 +9,17 @@ from fractions import Fraction
 import pytest
 
 from bwtvariants import (
+    GenSpec,
     GuardError,
+    TransformError,
     ValidationError,
     Variant,
     _fallback,
     analyze,
     brute_force_interval_max_runs,
+    derive_transform,
     from_seqs,
+    generate,
     hamming,
     hamming_upper_bound,
     interesting_intervals,
@@ -236,3 +241,42 @@ def test_intervals_and_analyze_do_not_use_shared_suffix_mask(toy, monkeypatch):
             monkeypatch.setattr(module, "shared_suffix_mask", refuse)
     assert interesting_intervals(toy) == want_intervals
     assert analyze(toy).to_json() == want_report
+
+
+def _multisets():
+    """Random collections holding a duplicate, a square and a proper
+    suffix of one of their strings, in shuffled order, plus larger
+    shared-suffix collections whose k exceeds a byte."""
+    rng = random.Random(20261021)
+    for _ in range(300):
+        alpha = rng.choice([b"A", b"AB", b"ACGT"])
+        seqs = [
+            bytes(rng.choice(alpha) for _ in range(rng.randint(1, 9)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        s = rng.choice(seqs)
+        seqs += [s, s * 2] + ([s[1:]] if len(s) > 1 else [])
+        rng.shuffle(seqs)
+        yield from_seqs(seqs)
+    for seed in range(3):
+        yield generate(GenSpec(seed, 400, (5, 30), b"AC", 0.05, 0.8))
+
+
+def test_derived_transforms_equal_the_builders(shaped_corpus):
+    """mdol_bwt, colex_bwt and normalized conc_bwt read off the interval
+    scan are the builders' bytes, on multisets too."""
+    derived = [Variant.DOL_EBWT, Variant.MDOL_BWT, Variant.CONC_BWT, Variant.COLEX_BWT]
+    cols = [from_seqs(seqs) for seqs in shaped_corpus]
+    cols += _multisets()
+    for c in cols:
+        rep = interesting_intervals(c)
+        for v in derived:
+            assert derive_transform(rep, v, c) == transforms.build_normalized(v, c), (v, c.seqs())
+
+
+def test_derive_transform_refuses_what_it_cannot_read(toy):
+    rep = interesting_intervals(toy)
+    with pytest.raises(TransformError, match="not separator-based"):
+        derive_transform(rep, Variant.EBWT, toy)
+    with pytest.raises(ValidationError, match="not of this collection"):
+        derive_transform(rep, Variant.MDOL_BWT, from_seqs([b"AC", b"C"]))

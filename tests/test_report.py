@@ -141,12 +141,14 @@ def test_tsv_sections(toy):
 
 
 KERNELS = ("suffix_array", "conjugate_sort", "shared_suffix_mask", "hamming", "edit_distance")
+BUILDERS = ("mdol_bwt", "conc_bwt", "colex_bwt")
 
 
 def _counting(monkeypatch, impl, counts):
     """Point every bwtvariants module global at ``impl``'s kernels and
-    wrap the kernels and both analyses with call counters."""
-    from bwtvariants import intervals, kernels, runs
+    wrap the kernels, three builders and both analyses with call
+    counters."""
+    from bwtvariants import intervals, kernels, runs, transforms
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -156,6 +158,7 @@ def _counting(monkeypatch, impl, counts):
         return wrapper
 
     originals = {name: getattr(kernels, name) for name in KERNELS}
+    originals.update((name, getattr(transforms, name)) for name in BUILDERS)
     originals["interesting_intervals"] = intervals.interesting_intervals
     originals["optimal_order"] = runs.optimal_order
     wrappers = {name: counted(name, getattr(impl, name, fn)) for name, fn in originals.items()}
@@ -165,6 +168,9 @@ def _counting(monkeypatch, impl, counts):
                 # distances.hamming is a public function of the same name
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, wrappers[name])
+    for variant, fn in list(transforms._BUILDERS.items()):
+        if fn.__name__ in BUILDERS:
+            monkeypatch.setitem(transforms._BUILDERS, variant, wrappers[fn.__name__])
 
 
 def test_analyze_reaches_intervals_and_optimal_order_once(toy, native, monkeypatch):
@@ -178,7 +184,36 @@ def test_analyze_reaches_intervals_and_optimal_order_once(toy, native, monkeypat
             assert analyze(toy).to_json() == golden
         assert counts["interesting_intervals"] == 1, impl.BACKEND
         assert counts["optimal_order"] == 1, impl.BACKEND
-        assert counts["suffix_array"] == 7, impl.BACKEND
+        # the scan's two sorts, the self-check's mdol_bwt and the two
+        # k + 1 symbol conc_order sorts (the profile's and conc_bwt's ranks)
+        assert counts["suffix_array"] == 5, impl.BACKEND
+
+
+def test_variants_are_read_off_the_scan(toy, tmp_path, monkeypatch):
+    """analyze, bwtv optimal and colex_gap derive mdol_bwt, colex_bwt and
+    conc_bwt from the interval scan; only optimal_order's self-check
+    builds one, mdol_bwt."""
+    from bwtvariants import _fallback, cli, colex_gap
+
+    fasta = tmp_path / "toy.fa"
+    fasta.write_bytes(b"".join(b">%d\n%s\n" % (i, s) for i, s in enumerate(toy.seqs())))
+    for run in (
+        lambda: analyze(toy),
+        lambda: cli.main(["optimal", str(fasta), "--out", str(tmp_path / "opt.txt")]),
+        lambda: colex_gap(toy),
+    ):
+        counts = Counter()
+        with monkeypatch.context() as m:
+            _counting(m, _fallback, counts)
+            run()
+        assert counts["optimal_order"] == 1
+        assert counts["mdol_bwt"] == 1
+        assert counts["conc_bwt"] == counts["colex_bwt"] == 0
+    table = json.loads((DATA / "toy_report.json").read_text())["runsTable"]
+    assert (tmp_path / "opt.txt").read_text().splitlines()[1:] == [
+        f"rOpt\t{table['optimal']['r']}",
+        *(f"{v}\t{table[v]['r']}" for v in ("ebwt", "dol_ebwt", "mdol_bwt", "conc_bwt", "colex_bwt")),
+    ]
 
 
 def test_scan_results_travel_in_the_reports(toy):
